@@ -13,6 +13,7 @@ from .biased import fnch_pmf, fnch_tail
 from .errors import (
     DegenerateUrnError,
     DomainError,
+    InfeasibleError,
     InvalidUrnError,
     LedgerError,
     LedgerParseError,
@@ -37,15 +38,17 @@ from .report import (
     CaseDigest,
     SequentialOutcome,
     TestSummary,
-    emit_plot_data,
+    csv_bytes,
+    pmf_rows,
     render,
     run_sequential_rivals,
     run_test,
     summarize_urn,
+    weight_grid_rows,
 )
 from .sensitivity import (
     SensitivityResult,
-    closed_form_check,
+    omega_grid,
     solve_omega,
     sweep_curve,
     weight_omega_grid,

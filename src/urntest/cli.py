@@ -13,36 +13,24 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import fixture_path  # noqa: F401  (re-exported for interactive use)
-from .errors import (
-    DegenerateUrnError,
-    DomainError,
-    InvalidUrnError,
-    LedgerError,
-    SolverError,
-    UnreachableThresholdError,
-    UrnSizeError,
-    UrnTestError,
-)
+from .errors import InfeasibleError, UrnTestError
 from .ledger import DEFAULT_ALPHAS, derive_counts, parse_ledger
 from .oracle import SimConfig, monte_carlo
 from .report import (
-    emit_plot_data,
+    csv_bytes,
+    json_bytes,
+    pmf_rows,
     render,
     run_sequential_rivals,
     run_test,
+    sensitivity_as_dict,
     summarize_urn,
     summary_as_dict,
+    urn_as_dict,
+    weight_grid_rows,
 )
-from .sensitivity import solve_omega
+from .sensitivity import omega_grid, solve_omega, sweep_curve
 from .urn import UrnSpec, build_plus_one_urn
-
-_VALIDATION_ERRORS = (LedgerError, InvalidUrnError, DomainError)
-_INFEASIBLE_ERRORS = (DegenerateUrnError, UnreachableThresholdError, SolverError, UrnSizeError)
-
-
-class _UsageError(UrnTestError):
-    pass
 
 
 def _alpha(text: str) -> Fraction:
@@ -56,15 +44,14 @@ def _alpha_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_alpha(part) for part in text.split(","))
 
 
-def _add_urn_source(parser: argparse.ArgumentParser, *, with_x: bool = True):
+def _add_urn_source(parser: argparse.ArgumentParser):
     parser.add_argument("ledger", nargs="?", help="evidence ledger JSON file")
     parser.add_argument("--t", type=int, help="working-supporting items in the urn")
     parser.add_argument("--r", type=int, help="rival-supporting items in the urn")
     parser.add_argument("--n", type=int, help="items drawn from the urn")
-    if with_x:
-        parser.add_argument(
-            "--x", type=int, help="observed working-supporting draws (default: min(n, t))"
-        )
+    parser.add_argument(
+        "--x", type=int, help="observed working-supporting draws (default: min(n, t))"
+    )
 
 
 def _add_output(parser: argparse.ArgumentParser, formats=("text", "json", "csv")):
@@ -76,180 +63,117 @@ def _read_ledger(path: str):
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise _UsageError(f"cannot read ledger {path!r}: {exc}") from exc
+        raise UrnTestError(f"cannot read ledger {path!r}: {exc}") from exc
     return parse_ledger(data)
 
 
-def _inline_urn(args, *, with_x: bool = True) -> UrnSpec:
+def _ledger(args):
+    """The ledger file named on the command line, or None for an inline urn."""
+    if args.ledger is None:
+        return None
+    if args.t is not None or args.r is not None or args.n is not None:
+        raise UrnTestError("give either a ledger file or inline urn flags, not both")
+    return _read_ledger(args.ledger)
+
+
+def _urn_source(args) -> UrnSpec:
+    """The +1 urn of the ledger file, or the urn given by --t/--r/--n/--x."""
+    ledger = _ledger(args)
+    if ledger is not None:
+        return build_plus_one_urn(*derive_counts(ledger))
     missing = [flag for flag in ("t", "r", "n") if getattr(args, flag) is None]
     if missing:
-        raise _UsageError(
+        raise UrnTestError(
             "provide a ledger file or a full inline urn (--t, --r, --n missing: "
             + ", ".join("--" + m for m in missing)
             + ")"
         )
-    x = getattr(args, "x", None) if with_x else None
-    if x is None:
-        x = min(args.n, args.t)
+    x = min(args.n, args.t) if args.x is None else args.x
     return UrnSpec(t_count=args.t, r_count=args.r, sample_size=args.n, support_count=x)
-
-
-def _urn_source(args, *, with_x: bool = True):
-    """Return (urn, ledger-or-None) from a ledger path or inline flags."""
-    if args.ledger is not None:
-        if args.t is not None or args.r is not None or args.n is not None:
-            raise _UsageError("give either a ledger file or inline urn flags, not both")
-        ledger = _read_ledger(args.ledger)
-        working, rival, weights = derive_counts(ledger)
-        return build_plus_one_urn(working, rival, weights), ledger
-    return _inline_urn(args, with_x=with_x), None
 
 
 def _emit(data: bytes, out: Path | None):
     if out is None:
         sys.stdout.write(data.decode("utf-8"))
-    else:
+        return
+    try:
         out.write_bytes(data)
+    except OSError as exc:
+        raise UrnTestError(f"cannot write output {str(out)!r}: {exc}") from exc
 
 
-def _json_bytes(obj) -> bytes:
-    import json
-
-    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def _cmd_test(args) -> int:
-    if args.ledger is not None:
-        if args.t is not None or args.r is not None or args.n is not None:
-            raise _UsageError("give either a ledger file or inline urn flags, not both")
-        summary = run_test(_read_ledger(args.ledger), alphas=args.alpha)
+def _cmd_test(args) -> bytes:
+    ledger = _ledger(args)
+    if ledger is None:
+        summary = summarize_urn(_urn_source(args), args.alpha or DEFAULT_ALPHAS)
     else:
-        urn = _inline_urn(args)
-        summary = summarize_urn(urn, args.alpha or DEFAULT_ALPHAS)
-    _emit(render(summary, args.format), args.out)
-    return 0
+        summary = run_test(ledger, alphas=args.alpha)
+    return render(summary, args.format)
 
 
-def _cmd_dist(args) -> int:
-    urn, _ = _urn_source(args)
-    data = emit_plot_data("null_dist", urn=urn, odds=args.odds)
+def _cmd_dist(args) -> bytes:
+    urn = _urn_source(args)
+    rows = pmf_rows(urn, args.odds)
     if args.format == "csv":
-        _emit(data, args.out)
-        return 0
-    rows = [line.split(",") for line in data.decode().strip().split("\n")[1:]]
+        return csv_bytes("k,probability", rows)
     if args.format == "json":
-        payload = {
-            "urn": {
-                "t_count": urn.t_count,
-                "r_count": urn.r_count,
-                "sample_size": urn.sample_size,
-                "support_count": urn.support_count,
-            },
-            "odds": args.odds if args.odds is not None else 1.0,
-            "distribution": [{"k": int(k), "probability": float(p)} for k, p in rows],
-        }
-        _emit(_json_bytes(payload), args.out)
-        return 0
-    lines = [f"P(k = {k}) = {float(p):.6f}" for k, p in rows]
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
-    return 0
+        odds = args.odds if args.odds is not None else 1.0
+        distribution = [{"k": k, "probability": p} for k, p in rows]
+        return json_bytes({"urn": urn_as_dict(urn), "odds": odds, "distribution": distribution})
+    return "".join(f"P(k = {k}) = {p:.6f}\n" for k, p in rows).encode()
 
 
-def _cmd_sens(args) -> int:
-    urn, _ = _urn_source(args)
-    result = solve_omega(urn, float(args.alpha), tol=args.tol)
+def _cmd_sens(args) -> bytes:
+    result = solve_omega(_urn_source(args), float(args.alpha), tol=args.tol)
     if args.format == "json":
-        payload = {
-            "alpha": result.alpha,
-            "omega_star": result.omega_star,
-            "achieved_p": result.achieved_p,
-            "percent_more_likely": result.percent_more_likely,
-            "iterations": result.iterations,
-            "bracket": list(result.bracket),
-        }
-        _emit(_json_bytes(payload), args.out)
-    elif args.format == "csv":
-        text = (
+        return json_bytes(sensitivity_as_dict(result))
+    if args.format == "csv":
+        return (
             "alpha,omega,omega_precise,achieved_p\n"
             f"{float(args.alpha)!r},{result.omega_star:.2f},{result.omega_star!r},{result.achieved_p!r}\n"
-        )
-        _emit(text.encode(), args.out)
-    else:
-        _emit(
-            (
-                f"alpha={float(args.alpha):g}: odds ratio omega* = {result.omega_star:.3f} "
-                f"(working-supporting evidence {result.percent_more_likely:.0f}% more likely)\n"
-            ).encode(),
-            args.out,
-        )
-    return 0
+        ).encode()
+    return (
+        f"alpha={float(args.alpha):g}: odds ratio omega* = {result.omega_star:.3f} "
+        f"(working-supporting evidence {result.percent_more_likely:.0f}% more likely)\n"
+    ).encode()
 
 
-def _cmd_sweep(args) -> int:
-    if args.weight_max is not None:
-        if args.ledger is not None:
-            ledger = _read_ledger(args.ledger)
-            working, rival, _ = derive_counts(ledger)
-        else:
-            urn = _inline_urn(args)
-            if urn.sample_size < urn.t_count:
-                raise _UsageError("weight grid needs sample_size >= t_count for the inline urn")
-            working, rival = urn.t_count, urn.sample_size - urn.t_count
-        if args.scale == "log":
-            ratio = (args.omega_max / args.omega_min) ** (1.0 / (args.steps - 1))
-            omegas = [args.omega_min * ratio**i for i in range(args.steps)]
-        else:
-            step = (args.omega_max - args.omega_min) / (args.steps - 1)
-            omegas = [args.omega_min + step * i for i in range(args.steps)]
-        data = emit_plot_data(
-            "weight_grid",
-            working_obs=working,
-            rival_obs=rival,
-            weight_values=list(range(1, args.weight_max + 1)),
-            omega_values=omegas,
-        )
+def _cmd_sweep(args) -> bytes:
+    urn = _urn_source(args)
+    if args.weight_max is None:
+        curve = sweep_curve(urn, args.omega_min, args.omega_max, args.steps, scale=args.scale)
+        data = csv_bytes("omega,p", curve)
     else:
-        urn, _ = _urn_source(args)
-        data = emit_plot_data(
-            "omega_curve",
-            urn=urn,
-            omega_min=args.omega_min,
-            omega_max=args.omega_max,
-            steps=args.steps,
-            scale=args.scale,
-        )
+        if urn.sample_size < urn.t_count:
+            raise UrnTestError("weight grid needs sample_size >= t_count for the inline urn")
+        omegas = omega_grid(args.omega_min, args.omega_max, args.steps, args.scale)
+        weights = range(1, args.weight_max + 1)
+        rows = weight_grid_rows(urn.t_count, urn.sample_size - urn.t_count, weights, omegas)
+        data = csv_bytes("weight,omega,p", rows)
     print(f"scale={args.scale}", file=sys.stderr)
-    _emit(data, args.out)
-    return 0
+    return data
 
 
-def _cmd_simulate(args) -> int:
-    urn = UrnSpec(
-        t_count=args.t,
-        r_count=args.r,
-        sample_size=args.n,
-        support_count=min(args.n, args.t),
-    )
-    freqs = monte_carlo(urn, SimConfig(draws=args.draws, seed=args.seed))
-    lines = ["k,probability"] + [f"{k},{p!r}" for k, p in freqs]
-    _emit(("\n".join(lines) + "\n").encode(), args.out)
-    return 0
+def _cmd_simulate(args) -> bytes:
+    urn = UrnSpec(args.t, args.r, args.n, min(args.n, args.t))
+    return csv_bytes("k,probability", monte_carlo(urn, SimConfig(draws=args.draws, seed=args.seed)))
 
 
-def _cmd_multi(args) -> int:
+def _cmd_multi(args) -> bytes:
     ledgers = [_read_ledger(path) for path in args.ledgers]
     outcomes = run_sequential_rivals(ledgers, args.alpha0, rule=args.rule)
     if args.format == "json":
-        payload = [
-            {
-                "adjusted_alpha": float(out.adjusted_alpha),
-                "reject": out.reject,
-                "summary": summary_as_dict(out.summary),
-            }
-            for out in outcomes
-        ]
-        _emit(_json_bytes(payload), args.out)
-    elif args.format == "csv":
+        return json_bytes(
+            [
+                {
+                    "adjusted_alpha": float(out.adjusted_alpha),
+                    "reject": out.reject,
+                    "summary": summary_as_dict(out.summary),
+                }
+                for out in outcomes
+            ]
+        )
+    if args.format == "csv":
         lines = ["case,adjusted_alpha,p_upper,reject,omega"]
         for out in outcomes:
             res = out.summary.sensitivity[0]
@@ -259,18 +183,16 @@ def _cmd_multi(args) -> int:
                 f"{case},{float(out.adjusted_alpha)!r},{float(out.summary.p_upper)!r},"
                 f"{str(out.reject).lower()},{omega}"
             )
-        _emit(("\n".join(lines) + "\n").encode(), args.out)
-    else:
-        blocks = []
-        for out in outcomes:
-            verdict = "reject rival" if out.reject else "fail to reject rival"
-            blocks.append(
-                f"== {out.summary.digest.case_name}\n"
-                f"adjusted alpha = {float(out.adjusted_alpha):g} -> {verdict}\n"
-                + render(out.summary, "text").decode()
-            )
-        _emit("\n".join(blocks).encode(), args.out)
-    return 0
+        return ("\n".join(lines) + "\n").encode()
+    blocks = []
+    for out in outcomes:
+        verdict = "reject rival" if out.reject else "fail to reject rival"
+        blocks.append(
+            f"== {out.summary.digest.case_name}\n"
+            f"adjusted alpha = {float(out.adjusted_alpha):g} -> {verdict}\n"
+            + render(out.summary, "text").decode()
+        )
+    return "\n".join(blocks).encode()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser(
-        "test", help="run the full test: p-value upper bound plus sensitivity"
-    )
+    p_test = sub.add_parser("test", help="run the full test: p-value upper bound plus sensitivity")
     _add_urn_source(p_test)
     p_test.add_argument(
         "--alpha",
@@ -355,19 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _INFEASIBLE_ERRORS as exc:
+        _emit(args.func(args), args.out)
+        return 0
+    except InfeasibleError as exc:
         print(f"urntest: infeasible: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"urntest: error: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
-        print(f"urntest: error: {exc}", file=sys.stderr)
-        return 2
     except UrnTestError as exc:
         print(f"urntest: error: {exc}", file=sys.stderr)
         return 2

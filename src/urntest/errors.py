@@ -2,7 +2,8 @@
 
 Validation problems (bad inputs, bad ledger files) and infeasible
 computations (thresholds the model cannot reach, degenerate urns) are kept
-on separate branches so the CLI can map them to distinct exit codes.
+on separate branches, under InfeasibleError for the latter, so the CLI can
+map them to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -30,19 +31,23 @@ class NoWorkingEvidenceError(InvalidUrnError):
     """
 
 
-class UrnSizeError(UrnTestError, ValueError):
+class InfeasibleError(UrnTestError):
+    """The inputs are valid but the computation they ask for cannot be done."""
+
+
+class UrnSizeError(InfeasibleError, ValueError):
     """Exact enumeration was requested for an urn above the size guard."""
 
 
-class DegenerateUrnError(UrnTestError, ValueError):
+class DegenerateUrnError(InfeasibleError, ValueError):
     """The urn's support window cannot move, so there is nothing to solve."""
 
 
-class UnreachableThresholdError(UrnTestError):
+class UnreachableThresholdError(InfeasibleError):
     """No bias odds ratio attains the requested tail probability."""
 
 
-class SolverError(UrnTestError, RuntimeError):
+class SolverError(InfeasibleError, RuntimeError):
     """The root solver failed to converge within its iteration cap."""
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .biased import _as_odds
-from .errors import UrnSizeError
+from .errors import DomainError, UrnSizeError
 from .urn import UrnSpec
 
 __all__ = ["SimConfig", "ENUMERATION_LIMIT", "enumerate_exact", "monte_carlo"]
@@ -43,9 +43,9 @@ class SimConfig:
 
     def __post_init__(self):
         if self.draws < 1:
-            raise ValueError(f"draws must be at least 1, got {self.draws}")
+            raise DomainError(f"draws must be at least 1, got {self.draws}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+            raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
 
 
 @lru_cache(maxsize=4096)

@@ -18,7 +18,7 @@ from .biased import fnch_pmf
 from .errors import DomainError
 from .exact import ExactProb
 from .ledger import EvidenceLedger, derive_counts
-from .sensitivity import SensitivityResult, solve_omega, sweep_curve, weight_omega_grid
+from .sensitivity import SensitivityResult, solve_omega, weight_omega_grid
 from .urn import UrnSpec, build_plus_one_urn, null_distribution, p_upper
 
 __all__ = [
@@ -29,7 +29,9 @@ __all__ = [
     "summarize_urn",
     "run_sequential_rivals",
     "render",
-    "emit_plot_data",
+    "csv_bytes",
+    "pmf_rows",
+    "weight_grid_rows",
 ]
 
 
@@ -192,6 +194,26 @@ def _render_text(summary: TestSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def urn_as_dict(urn: UrnSpec) -> dict:
+    return {
+        "t_count": urn.t_count,
+        "r_count": urn.r_count,
+        "sample_size": urn.sample_size,
+        "support_count": urn.support_count,
+    }
+
+
+def sensitivity_as_dict(res: SensitivityResult) -> dict:
+    return {
+        "alpha": res.alpha,
+        "omega_star": res.omega_star,
+        "achieved_p": res.achieved_p,
+        "percent_more_likely": res.percent_more_likely,
+        "iterations": res.iterations,
+        "bracket": list(res.bracket),
+    }
+
+
 def summary_as_dict(summary: TestSummary) -> dict:
     """JSON-ready view of a summary with exact fractions kept as num/den."""
     return {
@@ -205,12 +227,7 @@ def summary_as_dict(summary: TestSummary) -> dict:
             else None
         ),
         "weights": list(summary.digest.weights) if summary.digest else None,
-        "urn": {
-            "t_count": summary.urn.t_count,
-            "r_count": summary.urn.r_count,
-            "sample_size": summary.urn.sample_size,
-            "support_count": summary.urn.support_count,
-        },
+        "urn": urn_as_dict(summary.urn),
         "p_upper": {
             "num": summary.p_upper.num,
             "den": summary.p_upper.den,
@@ -218,17 +235,7 @@ def summary_as_dict(summary: TestSummary) -> dict:
         },
         "alphas": [float(a) for a in summary.alphas],
         "sensitivity": [
-            None
-            if res is None
-            else {
-                "alpha": res.alpha,
-                "omega_star": res.omega_star,
-                "achieved_p": res.achieved_p,
-                "percent_more_likely": res.percent_more_likely,
-                "iterations": res.iterations,
-                "bracket": list(res.bracket),
-            }
-            for res in summary.sensitivity
+            None if res is None else sensitivity_as_dict(res) for res in summary.sensitivity
         ],
         "notes": list(summary.notes),
     }
@@ -249,55 +256,43 @@ def _render_csv(summary: TestSummary) -> str:
 def render(summary: TestSummary, format: str = "text") -> bytes:
     """Render one summary as text, json, or csv bytes."""
     if format == "text":
-        out = _render_text(summary)
-    elif format == "json":
-        out = json.dumps(summary_as_dict(summary), indent=2, ensure_ascii=False) + "\n"
-    elif format == "csv":
-        out = _render_csv(summary)
-    else:
-        raise DomainError(f"unknown format {format!r}")
-    return out.encode("utf-8")
+        return _render_text(summary).encode("utf-8")
+    if format == "json":
+        return json_bytes(summary_as_dict(summary))
+    if format == "csv":
+        return _render_csv(summary).encode("utf-8")
+    raise DomainError(f"unknown format {format!r}")
 
 
-def emit_plot_data(kind: str, **params) -> bytes:
-    """CSV plot data for the three standard figures.
+def json_bytes(obj) -> bytes:
+    """Indented UTF-8 JSON with a trailing newline."""
+    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
-    null_dist(urn, odds=None) -> k,probability
-    omega_curve(urn, omega_min, omega_max, steps, scale='log') -> omega,p
-    weight_grid(working_obs, rival_obs, weight_values, omega_values) -> weight,omega,p
-    """
-    if kind == "null_dist":
-        urn: UrnSpec = params.pop("urn")
-        odds = params.pop("odds", None)
-        _reject_extra(params)
-        if odds is None:
-            rows = [(k, float(prob)) for k, prob in null_distribution(urn)]
-        else:
-            rows = [(k, fnch_pmf(urn, k, odds)) for k in range(urn.sample_size + 1)]
-        lines = ["k,probability"] + [f"{k},{prob!r}" for k, prob in rows]
-    elif kind == "omega_curve":
-        urn = params.pop("urn")
-        args = {key: params.pop(key) for key in ("omega_min", "omega_max", "steps")}
-        scale = params.pop("scale", "log")
-        _reject_extra(params)
-        points = sweep_curve(urn, scale=scale, **args)
-        lines = ["omega,p"] + [f"{omega!r},{prob!r}" for omega, prob in points]
-    elif kind == "weight_grid":
-        working = params.pop("working_obs")
-        rival = params.pop("rival_obs")
-        weight_values = list(params.pop("weight_values"))
-        omega_values = list(params.pop("omega_values"))
-        _reject_extra(params)
-        grid = weight_omega_grid(working, rival, weight_values, omega_values)
-        lines = ["weight,omega,p"]
-        for w, row in zip(weight_values, grid):
-            for omega, prob in zip(omega_values, row):
-                lines.append(f"{w},{omega!r},{prob!r}")
-    else:
-        raise DomainError(f"unknown plot kind {kind!r}")
+
+def csv_bytes(header: str, rows) -> bytes:
+    """A header line, then one line per row with every cell written by repr."""
+    lines = [header] + [",".join(repr(cell) for cell in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _reject_extra(params: dict):
-    if params:
-        raise DomainError(f"unexpected parameters: {sorted(params)}")
+def pmf_rows(urn: UrnSpec, odds: float | None = None) -> list[tuple[int, float]]:
+    """(k, probability) for every draw count k: the exact null pmf as
+    floats, or the biased pmf at the given odds ratio."""
+    if odds is None:
+        return [(k, float(prob)) for k, prob in null_distribution(urn)]
+    return [(k, fnch_pmf(urn, k, odds)) for k in range(urn.sample_size + 1)]
+
+
+def weight_grid_rows(
+    working_obs: int,
+    rival_obs: int,
+    weight_values: Sequence[int],
+    omega_values: Sequence[float],
+) -> list[tuple[int, float, float]]:
+    """(weight, omega, p) for every cell of weight_omega_grid, weight-major."""
+    grid = weight_omega_grid(working_obs, rival_obs, weight_values, omega_values)
+    return [
+        (w, omega, prob)
+        for w, row in zip(weight_values, grid)
+        for omega, prob in zip(omega_values, row)
+    ]

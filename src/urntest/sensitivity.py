@@ -25,7 +25,7 @@ from .urn import UrnSpec, build_plus_one_urn
 __all__ = [
     "SensitivityResult",
     "solve_omega",
-    "closed_form_check",
+    "omega_grid",
     "sweep_curve",
     "weight_omega_grid",
 ]
@@ -137,32 +137,10 @@ def solve_omega(
     return result
 
 
-def closed_form_check(p: float) -> float:
-    """Closed-form omega for the urn with 2 working and 3 rival items and
-    3 draws, observed support 2.
+def omega_grid(omega_min: float, omega_max: float, steps: int, scale: str = "log") -> list[float]:
+    """steps evenly spaced odds ratios from omega_min to exactly omega_max.
 
-    For that configuration the tail is 3w**2 / (1 + 6w + 3w**2); solving
-    the quadratic for the positive root gives
-    w = p/(1-p) + sqrt(p + 2p**2) / (sqrt(3) (1-p)). Used as an
-    independent cross-check of solve_omega.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly in (0, 1), got {p}")
-    return p / (1.0 - p) + math.sqrt(p + 2.0 * p * p) / (math.sqrt(3.0) * (1.0 - p))
-
-
-def sweep_curve(
-    urn: UrnSpec,
-    omega_min: float,
-    omega_max: float,
-    steps: int,
-    *,
-    scale: str = "log",
-) -> list[tuple[float, float]]:
-    """Tail probability over an evenly spaced omega grid.
-
-    scale selects log (even ratios) or linear (even differences) spacing;
-    callers that render the curve should carry the flag along.
+    scale selects log (even ratios) or linear (even differences) spacing.
     """
     if not 0.0 < omega_min < omega_max:
         raise DomainError(
@@ -179,6 +157,22 @@ def sweep_curve(
         step = (omega_max - omega_min) / (steps - 1)
         grid = [omega_min + step * i for i in range(steps)]
     grid[-1] = omega_max
+    return grid
+
+
+def sweep_curve(
+    urn: UrnSpec,
+    omega_min: float,
+    omega_max: float,
+    steps: int,
+    *,
+    scale: str = "log",
+) -> list[tuple[float, float]]:
+    """Tail probability over omega_grid(omega_min, omega_max, steps, scale).
+
+    Callers that render the curve should carry the scale flag along.
+    """
+    grid = omega_grid(omega_min, omega_max, steps, scale)
     return [(omega, fnch_tail(urn, omega)) for omega in grid]
 
 
@@ -194,6 +188,8 @@ def weight_omega_grid(
     observation (the candidate smoking gun); all others keep weight 1.
     Row i corresponds to weight_values[i], column j to omega_values[j].
     """
+    if not weight_values or not omega_values:
+        raise DomainError("weight and omega grids must each hold at least one value")
     rows = []
     for w in weight_values:
         weights = (w,) + (1,) * (working_obs - 1)

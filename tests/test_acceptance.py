@@ -15,7 +15,6 @@ from urntest import (
     SimConfig,
     UrnSpec,
     build_plus_one_urn,
-    closed_form_check,
     enumerate_exact,
     fixture_path,
     fnch_pmf,
@@ -73,7 +72,7 @@ def test_criterion_04_biased_pmf_parity():
     ok(4, "biased pmf parity")
 
 
-def test_criterion_05_sensitivity_solves():
+def test_criterion_05_sensitivity_solves(closed_form_check):
     urn = UrnSpec(7, 8, 10, 7)
     assert solve_omega(urn, 0.05).omega_star == pytest.approx(1.59, abs=0.01)
     assert solve_omega(urn, 0.10).omega_star == pytest.approx(2.36, abs=0.01)

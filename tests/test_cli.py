@@ -1,4 +1,7 @@
+import glob
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from urntest.cli import main
 ROSSEL = str(fixture_path("rossel2023"))
 SNOW = str(fixture_path("snow1855"))
 TEA = str(fixture_path("tea1935"))
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP = ("sweep", "--t", "7", "--r", "8", "--n", "10")
 
 
 def run(capsys, *argv):
@@ -227,3 +232,35 @@ class TestHelp:
         with pytest.raises(SystemExit):
             main(["sens", "--help"])
         assert "1e-9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SWEEP, "--omega-min", "0.5", "--omega-max", "5", "--steps", "1", "--weight-max", "2"),
+        (*SWEEP, "--omega-min", "0", "--omega-max", "5", "--steps", "3", "--weight-max", "2"),
+        (*SWEEP, "--omega-min", "5", "--omega-max", "1", "--steps", "3", "--weight-max", "2"),
+        (*SWEEP, "--omega-min", "0.5", "--omega-max", "5", "--steps", "3", "--weight-max", "0"),
+        ("test", ROSSEL, "--out", "{tmp}/missing/result.txt"),
+        ("test", ROSSEL, "--out", "{tmp}"),
+        ("simulate", "--t", "2", "--r", "3", "--n", "2", "--seed", "-1"),
+        ("simulate", "--t", "2", "--r", "3", "--n", "2", "--seed", "1", "--draws", "0"),
+    ],
+)
+def test_bad_input_exit_2(argv, capsys, tmp_path):
+    code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith("urntest: error: ")
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("urntest ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_run(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expanded = [path for arg in argv for path in sorted(glob.glob(arg)) or [arg]]  # as a shell would
+    assert run(capsys, *expanded)[0] == 0

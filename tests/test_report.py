@@ -6,13 +6,16 @@ import pytest
 from urntest import (
     DomainError,
     UrnSpec,
-    emit_plot_data,
+    csv_bytes,
     fixture_path,
     parse_ledger,
+    pmf_rows,
     render,
     run_sequential_rivals,
     run_test,
     summarize_urn,
+    sweep_curve,
+    weight_grid_rows,
 )
 
 
@@ -180,7 +183,7 @@ class TestRender:
 
 class TestEmitPlotData:
     def test_null_dist_matches_reference_table(self, snow):
-        data = emit_plot_data("null_dist", urn=run_test(snow).urn).decode()
+        data = csv_bytes("k,probability", pmf_rows(run_test(snow).urn)).decode()
         lines = data.strip().splitlines()
         assert lines[0] == "k,probability"
         assert len(lines) == 12
@@ -189,9 +192,8 @@ class TestEmitPlotData:
 
     def test_omega_curve_reference_points(self):
         urn = UrnSpec(7, 8, 10, 7)
-        data = emit_plot_data(
-            "omega_curve", urn=urn, omega_min=1.59, omega_max=2.36, steps=2, scale="linear"
-        ).decode()
+        curve = sweep_curve(urn, omega_min=1.59, omega_max=2.36, steps=2, scale="linear")
+        data = csv_bytes("omega,p", curve).decode()
         lines = data.strip().splitlines()
         assert lines[0] == "omega,p"
         (om1, p1), (om2, p2) = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -200,23 +202,10 @@ class TestEmitPlotData:
         assert p2 == pytest.approx(0.10, abs=5e-4)
 
     def test_weight_grid_reference_cell(self):
-        data = emit_plot_data(
-            "weight_grid",
-            working_obs=3,
-            rival_obs=1,
-            weight_values=[1, 2],
-            omega_values=[1.0],
-        ).decode()
+        rows = weight_grid_rows(working_obs=3, rival_obs=1, weight_values=[1, 2], omega_values=[1.0])
+        data = csv_bytes("weight,omega,p", rows).decode()
         lines = data.strip().splitlines()
         assert lines[0] == "weight,omega,p"
         cells = {line.split(",")[0]: float(line.split(",")[2]) for line in lines[1:]}
         assert cells["2"] == pytest.approx(0.0714, abs=1e-4)
         assert cells["1"] == pytest.approx(4 / 35, abs=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            emit_plot_data("pie_chart", urn=UrnSpec(2, 3, 2, 2))
-
-    def test_unexpected_params(self):
-        with pytest.raises(DomainError):
-            emit_plot_data("null_dist", urn=UrnSpec(2, 3, 2, 2), color="red")

@@ -6,7 +6,6 @@ from urntest import (
     DegenerateUrnError,
     DomainError,
     UrnSpec,
-    closed_form_check,
     fnch_tail,
     p_upper,
     solve_omega,
@@ -83,24 +82,24 @@ class TestSolveOmega:
 
 
 class TestClosedFormCheck:
-    def test_threshold_value(self):
+    def test_threshold_value(self, closed_form_check):
         assert closed_form_check(0.05) == pytest.approx(0.195159, abs=1e-5)
 
-    def test_central_point(self):
+    def test_central_point(self, closed_form_check):
         # at p = 3/10 the quadratic configuration is exactly unbiased
         assert float(p_upper(UrnSpec(2, 3, 3, 2))) == pytest.approx(0.3, abs=1e-15)
         assert closed_form_check(0.3) == pytest.approx(1.0, abs=1e-9)
 
-    def test_vanishes_at_zero(self):
+    def test_vanishes_at_zero(self, closed_form_check):
         assert closed_form_check(1e-12) < 1e-5
         assert closed_form_check(1e-18) < 1e-8
 
-    def test_domain(self):
+    def test_domain(self, closed_form_check):
         for bad in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(DomainError):
                 closed_form_check(bad)
 
-    def test_agrees_with_solver(self):
+    def test_agrees_with_solver(self, closed_form_check):
         urn = UrnSpec(2, 3, 3, 2)
         for i in range(20):
             p = 0.01 + (0.29 - 0.01) * i / 19
