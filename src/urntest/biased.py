@@ -13,11 +13,13 @@ than changing the draw-by-draw dynamics, and the two families differ for
 omega != 1. The exact enumeration oracle and the closed-form sensitivity
 check both agree with this family.
 
-Evaluation is exact for desk-scale urns: a float omega is a dyadic
-rational p/q, so every term C(t, j) * C(r, n - j) * p**j * q**(hi - j) is
-an arbitrary-precision integer and the returned float is the correctly
-rounded value of an exact rational. Urns with more than
-EXACT_TOTAL_LIMIT items switch to log-space summation.
+Evaluation is exact at every urn size. Each urn has one table of integer
+coefficients c_j = C(t, j) * C(r, n - j) over its support window, built
+once by the term-ratio recursion. A float omega is a dyadic rational
+p / 2**s, so the weight sums are integer Horner sums in which every power
+of the denominator is a bit shift, and every returned float is the
+correctly rounded value of an exact rational. log_tail_view reads the
+same table in floats to steer the odds-ratio solver.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import binomial, log_binomial
+from .exact import binomial
 from .urn import UrnSpec
 
-__all__ = ["fnch_pmf", "fnch_tail", "EXACT_TOTAL_LIMIT"]
-
-EXACT_TOTAL_LIMIT = 300
+__all__ = ["fnch_pmf", "fnch_tail"]
 
 
 def _as_odds(omega) -> Fraction:
@@ -46,49 +46,65 @@ def _as_odds(omega) -> Fraction:
     return frac
 
 
-@lru_cache(maxsize=512)
-def _exact_terms(urn: UrnSpec, odds: Fraction) -> tuple[int, ...]:
-    """Integer weights of each support point j = lo..hi, common factor cleared.
+def _dyadic(omega) -> tuple[int, int]:
+    """(p, s) with omega == p / 2**s; every float odds ratio has this form."""
+    odds = _as_odds(omega)
+    s = odds.denominator.bit_length() - 1
+    if odds.denominator != 1 << s:
+        raise DomainError(f"odds ratio must be a float or a dyadic rational, got {omega!r}")
+    return odds.numerator, s
 
-    With odds = p/q the term for j is C(t,j) C(r,n-j) p**j q**(hi-j); the
-    shared power of q cancels in every ratio of sums, as does p**lo.
+
+# A solve or a curve touches one urn at a time, so small caches suffice;
+# each table holds one big integer per support point.
+@lru_cache(maxsize=16)
+def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
+    """c_j = C(t, j) C(r, n - j) for j = lo..hi, by the exact term ratio
+    c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1))."""
+    lo, hi = max(0, n - r), min(n, t)
+    c = binomial(t, lo) * binomial(r, n - lo)
+    table = [c]
+    for j in range(lo, hi):
+        c = c * (t - j) * (n - j) // ((j + 1) * (r - n + j + 1))
+        table.append(c)
+    return tuple(table)
+
+
+@lru_cache(maxsize=16)
+def _log_coefficients(t: int, r: int, n: int) -> tuple[float, ...]:
+    """The table's natural logarithms, read by log_tail_view."""
+    return tuple(math.log(c) for c in _coefficients(t, r, n))
+
+
+@lru_cache(maxsize=16)
+def _sums(urn: UrnSpec, p: int, s: int) -> tuple[int, int]:
+    """Exact weights of the tail j >= x and of the whole window at odds
+    p / 2**s, both scaled by the same power of two.
+
+    The Horner sum A_i = A_(i+1) p + c_i 2**(s (m - 1 - i)) runs down the
+    table of m coefficients; the window's weight is A_0 and the tail's is
+    p**k A_k, with k the offset of x in the window.
     """
-    t, r, n = urn.t_count, urn.r_count, urn.sample_size
-    lo, hi = urn.support()
-    p, q = odds.numerator, odds.denominator
-    return tuple(
-        binomial(t, j) * binomial(r, n - j) * p ** (j - lo) * q ** (hi - j)
-        for j in range(lo, hi + 1)
-    )
-
-
-@lru_cache(maxsize=512)
-def _log_terms(urn: UrnSpec, odds: Fraction) -> tuple[float, ...]:
-    t, r, n = urn.t_count, urn.r_count, urn.sample_size
-    lo, hi = urn.support()
-    log_omega = math.log(odds.numerator) - math.log(odds.denominator)
-    return tuple(
-        log_binomial(t, j) + log_binomial(r, n - j) + j * log_omega
-        for j in range(lo, hi + 1)
-    )
-
-
-def _log_sum(values: tuple[float, ...]) -> float:
-    m = max(values)
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    k = urn.support_count - urn.support()[0]
+    top = len(table) - 1
+    acc = tail = 0
+    for i in range(top, -1, -1):
+        acc = acc * p + (table[i] << (s * (top - i)))
+        if i == k:
+            tail = acc
+    return tail * p**k, acc
 
 
 def fnch_pmf(urn: UrnSpec, k: int, omega) -> float:
     """Probability of drawing exactly k working-supporting items at bias omega."""
-    odds = _as_odds(omega)
+    p, s = _dyadic(omega)
     lo, hi = urn.support()
     if k < lo or k > hi:
         return 0.0
-    if urn.total <= EXACT_TOTAL_LIMIT:
-        terms = _exact_terms(urn, odds)
-        return float(Fraction(terms[k - lo], sum(terms)))
-    logs = _log_terms(urn, odds)
-    return math.exp(logs[k - lo] - _log_sum(logs))
+    _, total = _sums(urn, p, s)
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    return (table[k - lo] * p ** (k - lo) << (s * (hi - k))) / total
 
 
 def fnch_tail(urn: UrnSpec, omega) -> float:
@@ -96,13 +112,31 @@ def fnch_tail(urn: UrnSpec, omega) -> float:
 
     Strictly increasing in omega whenever the observed count sits above the
     bottom of the support window, which is what makes the sensitivity
-    analysis solvable by bisection.
+    analysis solvable for a unique odds ratio.
     """
-    odds = _as_odds(omega)
-    x = urn.support_count
-    lo, hi = urn.support()
-    if urn.total <= EXACT_TOTAL_LIMIT:
-        terms = _exact_terms(urn, odds)
-        return float(Fraction(sum(terms[max(x, lo) - lo :]), sum(terms)))
-    logs = _log_terms(urn, odds)
-    return math.exp(_log_sum(logs[max(x, lo) - lo :]) - _log_sum(logs))
+    tail, total = _sums(urn, *_dyadic(omega))
+    return tail / total
+
+
+def log_tail_view(urn: UrnSpec, log_omega: float) -> tuple[float, float]:
+    """Float view of log fnch_tail at omega = exp(log_omega) and its slope
+    d log tail / d log omega = E[X | X >= x] - E[X].
+
+    Accurate to roughly the rounding of the table's logarithms; it steers
+    a root search and is never reported.
+    """
+    logs = _log_coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    k = urn.support_count - urn.support()[0]
+    exponents = [c + i * log_omega for i, c in enumerate(logs)]
+    log_window, mean_window = _log_weight_and_mean(exponents, 0)
+    log_tail, mean_tail = _log_weight_and_mean(exponents, k)
+    return log_tail - log_window, mean_tail - mean_window
+
+
+def _log_weight_and_mean(exponents: list[float], start: int) -> tuple[float, float]:
+    """log of sum(exp(e_i)) over i >= start, and the mean of i under those weights."""
+    top = max(exponents[start:])
+    weights = [math.exp(e - top) for e in exponents[start:]]
+    total = sum(weights)
+    mean = start + sum(i * w for i, w in enumerate(weights)) / total
+    return top + math.log(total), mean

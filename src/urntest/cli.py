@@ -71,7 +71,7 @@ def _ledger(args):
     """The ledger file named on the command line, or None for an inline urn."""
     if args.ledger is None:
         return None
-    if args.t is not None or args.r is not None or args.n is not None:
+    if any(flag is not None for flag in (args.t, args.r, args.n, args.x)):
         raise UrnTestError("give either a ledger file or inline urn flags, not both")
     return _read_ledger(args.ledger)
 
@@ -174,16 +174,19 @@ def _cmd_multi(args) -> bytes:
             ]
         )
     if args.format == "csv":
-        lines = ["case,adjusted_alpha,p_upper,reject,omega"]
+        rows = []
         for out in outcomes:
             res = out.summary.sensitivity[0]
-            omega = "" if res is None else repr(res.omega_star)
-            case = out.summary.digest.case_name.replace(",", ";")
-            lines.append(
-                f"{case},{float(out.adjusted_alpha)!r},{float(out.summary.p_upper)!r},"
-                f"{str(out.reject).lower()},{omega}"
+            rows.append(
+                (
+                    out.summary.digest.case_name,
+                    float(out.adjusted_alpha),
+                    float(out.summary.p_upper),
+                    str(out.reject).lower(),
+                    "" if res is None else res.omega_star,
+                )
             )
-        return ("\n".join(lines) + "\n").encode()
+        return csv_bytes("case,adjusted_alpha,p_upper,reject,omega", rows)
     blocks = []
     for out in outcomes:
         verdict = "reject rival" if out.reject else "fail to reject rival"
@@ -226,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_urn_source(p_sens)
     p_sens.add_argument("--alpha", type=_alpha, required=True, help="rejection threshold")
     p_sens.add_argument(
-        "--tol", type=float, default=1e-9, help="solver tolerance (default: 1e-9)"
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="relative tolerance on the tail probability at omega* (default: 1e-9)",
     )
     _add_output(p_sens)
     p_sens.set_defaults(func=_cmd_sens)

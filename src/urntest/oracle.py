@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .biased import _as_odds
 from .errors import DomainError, UrnSizeError
 from .urn import UrnSpec
@@ -89,6 +87,8 @@ def monte_carlo(urn: UrnSpec, config: SimConfig) -> list[tuple[int, float]]:
     for a given (urn, config): a fixed chunk size keeps the generator
     stream consumption independent of the draw count.
     """
+    import numpy as np  # here, so that commands other than simulate skip numpy's import time
+
     total, n, t = urn.total, urn.sample_size, urn.t_count
     rng = np.random.Generator(np.random.PCG64(config.seed))
     counts = np.zeros(n + 1, dtype=np.int64)

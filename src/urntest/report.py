@@ -9,6 +9,8 @@ as p = 1/20 against a threshold of 0.05 are stable.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,9 +272,13 @@ def json_bytes(obj) -> bytes:
 
 
 def csv_bytes(header: str, rows) -> bytes:
-    """A header line, then one line per row with every cell written by repr."""
-    lines = [header] + [",".join(repr(cell) for cell in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """A header line, then one line per row: text cells as CSV fields with
+    minimal quoting, every other cell written by repr."""
+    buffer = io.StringIO()
+    buffer.write(header + "\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerows([cell if isinstance(cell, str) else repr(cell) for cell in row] for row in rows)
+    return buffer.getvalue().encode("utf-8")
 
 
 def pmf_rows(urn: UrnSpec, odds: float | None = None) -> list[tuple[int, float]]:

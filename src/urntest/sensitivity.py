@@ -7,18 +7,25 @@ alpha. Reporting omega* tells a reader how much easier working-supporting
 evidence would have to be to observe before the test stops rejecting the
 rival at that threshold.
 
-The solver brackets the root and bisects on the geometric mean, which
-converges uniformly in relative terms across the huge dynamic range an
-odds ratio can take.
+The solver runs Newton's method on u = log omega for log tail(u) =
+log alpha, starting at omega = 1. The slope d log tail / du is
+E[X | X >= x] - E[X], so the float view of the urn's coefficient table
+gives value and slope in one pass. A bracket of points known to lie on
+either side of the root catches any step that leaves it. Convergence is
+judged on the exact tail, relative to alpha, so tiny thresholds and large
+urns are solved to the same relative tolerance. Should the tolerance be
+finer than the view's rounding, the exact tail's value steers the last
+steps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .biased import fnch_tail
+from .biased import fnch_tail, log_tail_view
 from .errors import DegenerateUrnError, DomainError, SolverError, UnreachableThresholdError
 from .urn import UrnSpec, build_plus_one_urn
 
@@ -30,21 +37,20 @@ __all__ = [
     "weight_omega_grid",
 ]
 
-# Initial bracket for the odds ratio; expanded geometrically if the root
-# lies outside, up to the expansion floor/ceiling below.
-_BRACKET_LOW = 1e-9
-_BRACKET_HIGH = 1e9
-_EXPAND_FACTOR = 1e3
-_EXPAND_FLOOR = 1e-200
-_EXPAND_CEIL = 1e200
+# log omega of the smallest and largest positive floats: a root outside
+# this range has no float odds ratio.
+_LOG_OMEGA_MIN = math.log(math.ulp(0.0))
+_LOG_OMEGA_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class SensitivityResult:
     """Solved bias odds ratio for one rejection threshold.
 
-    bracket is the final interval containing the root; iterations counts
-    bisection steps only.
+    iterations counts solver steps. bracket is the solver's safeguard
+    interval on omega at the end: its ends are the closest evaluated odds
+    ratios below and above the root, or the float range's limits on a
+    side no evaluation reached.
     """
 
     alpha: float
@@ -68,13 +74,17 @@ def solve_omega(
 ) -> SensitivityResult:
     """Find the bias odds ratio at which the tail probability equals alpha.
 
-    Converges when the tail matches alpha within tol/10 or the bracket
-    narrows to a relative width of tol. Raises UnreachableThresholdError
-    when no positive omega attains alpha and SolverError past max_iter.
+    Converges when the exact tail at omega*, achieved_p, satisfies
+    |achieved_p / alpha - 1| <= tol. Raises UnreachableThresholdError when
+    the root lies outside the range of positive floats, and SolverError
+    when tol is not met within max_iter steps or omega can no longer move
+    on the float grid.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tol must lie strictly in (0, 1), got {tol}")
     lo_k, hi_k = urn.support()
     if hi_k - lo_k < 1:
         raise DegenerateUrnError(
@@ -86,55 +96,58 @@ def solve_omega(
             "so the tail probability is 1 for every omega"
         )
 
-    lo, hi = _BRACKET_LOW, _BRACKET_HIGH
-    f_lo = fnch_tail(urn, lo)
-    f_hi = fnch_tail(urn, hi)
-    while f_lo > alpha:
-        lo /= _EXPAND_FACTOR
-        if lo < _EXPAND_FLOOR:
-            raise UnreachableThresholdError(
-                f"tail probability stays above alpha={alpha} for all positive odds ratios"
-            )
-        f_lo = fnch_tail(urn, lo)
-    while f_hi < alpha:
-        hi *= _EXPAND_FACTOR
-        if hi > _EXPAND_CEIL:
-            raise UnreachableThresholdError(
-                f"tail probability stays below alpha={alpha} for all positive odds ratios"
-            )
-        f_hi = fnch_tail(urn, hi)
-
-    p_tol = tol / 10.0
-    omega = math.sqrt(lo * hi)
-    achieved = fnch_tail(urn, omega)
-    iterations = 0
-    while abs(achieved - alpha) > p_tol:
-        if iterations >= max_iter:
-            raise SolverError(
-                f"no convergence after {max_iter} iterations "
-                f"(bracket [{lo}, {hi}], |p - alpha| = {abs(achieved - alpha):.3e})"
-            )
-        if achieved < alpha:
-            lo = omega
+    log_alpha = math.log(alpha)
+    lo, hi = -math.inf, math.inf  # log omega known to lie below / above the root
+    u, g_prev, achieved = 0.0, math.inf, None
+    for iterations in range(1, max_iter + 1):
+        log_p, slope = log_tail_view(urn, u)
+        if achieved is not None:  # past the view's resolution, the exact tail at u steers
+            log_p = math.log(achieved) if achieved else -math.inf
+        g = log_p - log_alpha
+        if g < 0.0:
+            lo = u
         else:
-            hi = omega
-        if hi - lo <= tol * lo:
-            break
-        omega = math.sqrt(lo * hi)
-        achieved = fnch_tail(urn, omega)
-        iterations += 1
-    result = SensitivityResult(
-        alpha=alpha,
-        omega_star=omega,
-        achieved_p=achieved,
-        iterations=iterations,
-        bracket=(lo, hi),
+            hi = u
+        if lo == _LOG_OMEGA_MAX or hi == _LOG_OMEGA_MIN:
+            side = "below" if g < 0.0 else "above"
+            raise UnreachableThresholdError(
+                f"tail probability stays {side} alpha={alpha} for all positive float odds ratios"
+            )
+        step = u - g / slope if slope > 0.0 else math.nan
+        if step == u and achieved is not None:
+            break  # omega cannot move on the float grid
+        if not lo < step < hi:
+            step = (lo + hi) / 2.0
+        step = _clip(step)
+        # log tail is concave in u, so once an iterate lies below the root the
+        # Newton steps approach it from below and g rises at every step. A step
+        # that fails to raise g, or crosses the root, has hit the view's rounding.
+        if achieved is None and abs(g) > tol and (g_prev >= 0.0 or g_prev < g < 0.0):
+            u, g_prev = step, g
+            continue
+        first_exact = achieved is None
+        u = step
+        achieved = fnch_tail(urn, math.exp(u))
+        if abs(achieved / alpha - 1.0) <= tol:
+            lo, hi = (u, hi) if achieved < alpha else (lo, u)
+            return SensitivityResult(
+                alpha=alpha,
+                omega_star=math.exp(u),
+                achieved_p=achieved,
+                iterations=iterations,
+                bracket=(math.exp(_clip(lo)), math.exp(_clip(hi))),
+            )
+        if first_exact:  # the view's signs may disagree with the exact tail's
+            lo, hi = -math.inf, math.inf
+    raise SolverError(
+        f"tail did not reach relative tolerance {tol} of alpha={alpha} "
+        f"(max_iter={max_iter}, last omega {math.exp(u)!r})"
     )
-    if abs(result.achieved_p - alpha) > 1e-9:
-        raise SolverError(
-            f"converged bracket but |p - alpha| = {abs(result.achieved_p - alpha):.3e} exceeds 1e-9"
-        )
-    return result
+
+
+def _clip(log_omega: float) -> float:
+    """log_omega moved into the log range of the positive floats."""
+    return min(max(log_omega, _LOG_OMEGA_MIN), _LOG_OMEGA_MAX)
 
 
 def omega_grid(omega_min: float, omega_max: float, steps: int, scale: str = "log") -> list[float]:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +17,18 @@ def urn_specs(draw, max_total=60, min_total=1):
     lo, hi = max(0, n - r), min(n, t)
     x = draw(st.integers(lo, hi))
     return UrnSpec(t_count=t, r_count=r, sample_size=n, support_count=x)
+
+
+def rational_tail(urn, omega):
+    """Exact rational tail, computed independently term by term."""
+    om = Fraction(omega)
+    lo, hi = urn.support()
+    terms = {
+        j: math.comb(urn.t_count, j) * math.comb(urn.r_count, urn.sample_size - j) * om**j
+        for j in range(lo, hi + 1)
+    }
+    total = sum(terms.values())
+    return sum(v for j, v in terms.items() if j >= urn.support_count) / total
 
 
 def _closed_form_omega(p: float) -> float:

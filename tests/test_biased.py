@@ -5,23 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urntest import DomainError, UrnSpec, fnch_pmf, fnch_tail, hyper_pmf, p_upper
-from urntest.biased import EXACT_TOTAL_LIMIT
 
-from conftest import urn_specs
+from conftest import rational_tail, urn_specs
 
 OMEGA_GRID = (0.01, 0.1, 0.5, 1, 2, 10, 100)
-
-
-def rational_tail(urn, omega):
-    """Exact rational tail, computed independently term by term."""
-    om = Fraction(omega)
-    lo, hi = urn.support()
-    terms = {
-        j: math.comb(urn.t_count, j) * math.comb(urn.r_count, urn.sample_size - j) * om**j
-        for j in range(lo, hi + 1)
-    }
-    total = sum(terms.values())
-    return sum(v for j, v in terms.items() if j >= urn.support_count) / total
 
 
 class TestFnchPmf:
@@ -46,7 +33,7 @@ class TestFnchPmf:
                 fnch_pmf(urn, 2, bad)
 
     @settings(max_examples=40)
-    @given(urn_specs(max_total=EXACT_TOTAL_LIMIT), st.sampled_from(OMEGA_GRID))
+    @given(urn_specs(max_total=300), st.sampled_from(OMEGA_GRID))
     def test_normalization(self, urn, omega):
         total = math.fsum(fnch_pmf(urn, k, omega) for k in range(urn.sample_size + 1))
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -100,14 +87,12 @@ class TestFnchTail:
 
 
 class TestLogSpacePath:
-    # urns above EXACT_TOTAL_LIMIT switch to log-space summation
+    # urns above 300 items, once summed in log space, are exact like every other urn
 
     def test_large_urn_tail_matches_rational(self):
         urn = UrnSpec(t_count=180, r_count=220, sample_size=150, support_count=80)
-        assert urn.total > EXACT_TOTAL_LIMIT
-        for omega in (0.5, 1, 1.7):
-            expected = float(rational_tail(urn, omega))
-            assert fnch_tail(urn, omega) == pytest.approx(expected, rel=1e-10)
+        for omega in (0.5, 1, 1.7, 1e-3, 250.0):
+            assert fnch_tail(urn, omega) == float(rational_tail(urn, omega))
 
     def test_large_urn_pmf_matches_rational(self):
         urn = UrnSpec(t_count=180, r_count=220, sample_size=150, support_count=80)
@@ -118,5 +103,4 @@ class TestLogSpacePath:
         }
         total = sum(terms.values())
         for k in (lo, 70, 80, hi):
-            expected = float(Fraction(terms[k], total))
-            assert fnch_pmf(urn, k, 1.5) == pytest.approx(expected, rel=1e-10)
+            assert fnch_pmf(urn, k, 1.5) == float(Fraction(terms[k], total))

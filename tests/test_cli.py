@@ -1,6 +1,10 @@
+import csv
 import glob
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ SNOW = str(fixture_path("snow1855"))
 TEA = str(fixture_path("tea1935"))
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = ("sweep", "--t", "7", "--r", "8", "--n", "10")
+SENS = ("sens", "--t", "7", "--r", "8", "--n", "10", "--x", "7", "--alpha", "0.05")
 
 
 def run(capsys, *argv):
@@ -137,6 +142,11 @@ class TestSensCommand:
         assert payload["omega_star"] == pytest.approx(2.36, abs=0.01)
         assert abs(payload["achieved_p"] - 0.1) <= 1e-9
 
+    def test_loose_tol(self, capsys):
+        code, out, _ = run(capsys, *SENS, "--tol", "1e-6", "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out)["achieved_p"] / 0.05 - 1) <= 1e-6
+
     def test_degenerate_exit_3(self, capsys):
         code, _, err = run(
             capsys, "sens", "--t", "2", "--r", "3", "--n", "5", "--x", "2",
@@ -210,6 +220,17 @@ class TestMultiCommand:
         assert lines[0] == "case,adjusted_alpha,p_upper,reject,omega"
         assert ",true," in lines[1]
 
+    def test_csv_case_name_quoted(self, capsys, tmp_path):
+        ledger = json.loads(Path(TEA).read_text(encoding="utf-8"))
+        ledger["case_name"] = 'Tea, "lady"\ntasting'
+        path = tmp_path / "tea.json"
+        path.write_text(json.dumps(ledger), encoding="utf-8")
+        code, out, _ = run(capsys, "multi", str(path), "--alpha0", "0.05", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines(keepends=True)))
+        assert len(rows) == 2
+        assert rows[1][0] == 'Tea, "lady"\ntasting'
+
     def test_text(self, capsys):
         code, out, _ = run(capsys, "multi", ROSSEL, SNOW, "--alpha0", "0.05")
         assert code == 0
@@ -245,12 +266,22 @@ class TestHelp:
         ("test", ROSSEL, "--out", "{tmp}"),
         ("simulate", "--t", "2", "--r", "3", "--n", "2", "--seed", "-1"),
         ("simulate", "--t", "2", "--r", "3", "--n", "2", "--seed", "1", "--draws", "0"),
+        ("test", ROSSEL, "--x", "3"),
+        (*SENS, "--tol", "0"),
+        (*SENS, "--tol", "1"),
     ],
 )
 def test_bad_input_exit_2(argv, capsys, tmp_path):
     code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith("urntest: error: ")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, urntest.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def _readme_commands():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from urntest import DomainError, ExactProb, binomial, log_binomial
+from urntest import DomainError, ExactProb, binomial
 
 
 def factorial_ratio(a: int, b: int) -> int:
@@ -49,27 +49,6 @@ class TestBinomial:
     @given(st.integers(0, 300), st.integers(0, 300))
     def test_matches_factorial_oracle(self, a, b):
         assert binomial(a, b) == factorial_ratio(a, b)
-
-
-class TestLogBinomial:
-    def test_small_values(self):
-        assert log_binomial(5, 2) == pytest.approx(math.log(10), abs=1e-12)
-        assert log_binomial(8, 4) == pytest.approx(math.log(70), abs=1e-12)
-
-    def test_large_value_against_exact_integer_log(self):
-        exact = math.log(binomial(200, 100))
-        assert abs(log_binomial(200, 100) - exact) <= 1e-12
-
-    def test_b_greater_than_a_rejected(self):
-        with pytest.raises(DomainError):
-            log_binomial(3, 5)
-
-    @given(st.integers(0, 500), st.integers(0, 500))
-    def test_exp_recovers_exact_value(self, a, b):
-        if b > a:
-            a, b = b, a
-        ratio = math.exp(log_binomial(a, b)) / binomial(a, b)
-        assert 1 - 1e-10 <= ratio <= 1 + 1e-10
 
 
 class TestExactProb:

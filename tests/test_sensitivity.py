@@ -1,17 +1,35 @@
 import math
 
+import mpmath
 import pytest
 
 from urntest import (
     DegenerateUrnError,
     DomainError,
+    SolverError,
     UrnSpec,
+    build_plus_one_urn,
     fnch_tail,
     p_upper,
     solve_omega,
     sweep_curve,
     weight_omega_grid,
 )
+
+from conftest import rational_tail
+
+
+def mpmath_tail(urn, omega, digits=50):
+    """Tail at omega summed in mpmath at the given precision."""
+    with mpmath.workdps(digits):
+        lo, hi = urn.support()
+        om = mpmath.mpf(omega)
+        terms = [
+            mpmath.mpf(math.comb(urn.t_count, j) * math.comb(urn.r_count, urn.sample_size - j))
+            * om**j
+            for j in range(lo, hi + 1)
+        ]
+        return float(mpmath.fsum(terms[urn.support_count - lo :]) / mpmath.fsum(terms))
 
 
 class TestSolveOmega:
@@ -72,6 +90,10 @@ class TestSolveOmega:
             with pytest.raises(DomainError):
                 solve_omega(urn, bad)
 
+    def test_max_iter_caps_steps(self):
+        with pytest.raises(SolverError):
+            solve_omega(UrnSpec(7, 8, 10, 7), 0.05, max_iter=1)
+
     def test_degenerate_urns_rejected(self):
         # single-point support window
         with pytest.raises(DegenerateUrnError):
@@ -79,6 +101,27 @@ class TestSolveOmega:
         # x at the bottom of the window: tail is 1 everywhere
         with pytest.raises(DegenerateUrnError):
             solve_omega(UrnSpec(2, 3, 2, 0), 0.05)
+
+
+class TestRelativeTolerance:
+    # |p - alpha| stops are blind at tiny alpha, and bisection brackets miss
+    # the root of large urns; each solve is checked by an independent oracle
+
+    def test_tiny_alpha(self):
+        urn = UrnSpec(7, 8, 10, 7)
+        res = solve_omega(urn, 1e-30)
+        assert abs(float(rational_tail(urn, res.omega_star)) / 1e-30 - 1) <= 1e-9
+
+    def test_large_urn(self):
+        urn = build_plus_one_urn(500, 100)
+        res = solve_omega(urn, 1e-12)
+        assert abs(float(rational_tail(urn, res.omega_star)) / 1e-12 - 1) <= 1e-9
+
+    def test_4001_item_urn(self):
+        urn = build_plus_one_urn(2000, 1000)
+        assert urn.total == 4001
+        res = solve_omega(urn, 1e-12)
+        assert abs(mpmath_tail(urn, res.omega_star) / 1e-12 - 1) <= 1e-9
 
 
 class TestClosedFormCheck:
