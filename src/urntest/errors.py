@@ -36,7 +36,8 @@ class InfeasibleError(UrnTestError):
 
 
 class UrnSizeError(InfeasibleError, ValueError):
-    """Exact enumeration was requested for an urn above the size guard."""
+    """The urn is above the size guard of exact enumeration or of the
+    Monte Carlo sampler."""
 
 
 class DegenerateUrnError(InfeasibleError, ValueError):

@@ -5,7 +5,14 @@ Two routes that share no code with the binomial-coefficient formulas:
 - enumerate_exact walks every size-n subset of the urn and counts, giving
   exact rational probabilities for small urns at any bias.
 - monte_carlo simulates repeated unbiased draws without replacement with
-  a seeded generator.
+  a seeded generator. Each replication records only the number of
+  working-supporting items in a uniformly random size-n subset, which is
+  one hypergeometric variate. numpy draws it by its own sampler (ratio of
+  uniforms, Stadlober 1989, or for fewer than 10 draws from either side a
+  draw-by-draw simulation), not from binomial coefficients. Time grows
+  with the draw count and memory with a fixed chunk of draws plus the n + 1
+  result rows, whatever the urn size. numpy's sampler takes item counts
+  below 10**9 only.
 
 The Monte Carlo route is restricted to the unbiased urn on purpose.
 Drawing items one at a time with probability proportional to odds
@@ -26,9 +33,11 @@ from .biased import _as_odds
 from .errors import DomainError, UrnSizeError
 from .urn import UrnSpec
 
-__all__ = ["SimConfig", "ENUMERATION_LIMIT", "enumerate_exact", "monte_carlo"]
+__all__ = ["SimConfig", "ENUMERATION_LIMIT", "SAMPLER_LIMIT", "enumerate_exact", "monte_carlo"]
 
 ENUMERATION_LIMIT = 20
+# numpy's Generator.hypergeometric rejects item counts from 10**9 up.
+SAMPLER_LIMIT = 10**9
 _CHUNK_ROWS = 1 << 16
 
 
@@ -82,27 +91,27 @@ def monte_carlo(urn: UrnSpec, config: SimConfig) -> list[tuple[int, float]]:
     """Empirical distribution of working-item counts from repeated unbiased
     draws without replacement.
 
-    Each replication takes the n items with the smallest of U independent
-    uniform keys, which is a uniformly random size-n subset. Deterministic
-    for a given (urn, config): a fixed chunk size keeps the generator
-    stream consumption independent of the draw count.
+    Each replication draws the working-item count of one uniformly random
+    size-n subset directly, as a hypergeometric variate, so a replication
+    costs O(1) time and memory and a chunk of replications O(chunk) memory.
+    Deterministic for a given (urn, config): a fixed chunk size keeps the
+    generator stream consumption independent of the draw count, so a longer
+    run extends a shorter one's stream. Urns with SAMPLER_LIMIT or more
+    items of either kind raise UrnSizeError, before numpy is imported.
     """
+    total, n, t = urn.total, urn.sample_size, urn.t_count
+    if max(t, urn.r_count) >= SAMPLER_LIMIT:
+        raise UrnSizeError(
+            f"sampler guard: urn has {t} working and {urn.r_count} rival items, "
+            f"each count must be below {SAMPLER_LIMIT}"
+        )
     import numpy as np  # here, so that commands other than simulate skip numpy's import time
 
-    total, n, t = urn.total, urn.sample_size, urn.t_count
     rng = np.random.Generator(np.random.PCG64(config.seed))
     counts = np.zeros(n + 1, dtype=np.int64)
-    if n == 0:
-        counts[0] = config.draws
-    elif n == total:
-        counts[t] = config.draws
-    else:
-        remaining = config.draws
-        while remaining > 0:
-            rows = min(remaining, _CHUNK_ROWS)
-            keys = rng.random((rows, total))
-            drawn = np.argpartition(keys, n - 1, axis=1)[:, :n]
-            k = (drawn < t).sum(axis=1)
-            counts += np.bincount(k, minlength=n + 1)
-            remaining -= rows
+    remaining = config.draws
+    while remaining > 0:
+        rows = min(remaining, _CHUNK_ROWS)
+        counts += np.bincount(rng.hypergeometric(t, total - t, n, size=rows), minlength=n + 1)
+        remaining -= rows
     return [(k, int(counts[k]) / config.draws) for k in range(n + 1)]

@@ -153,6 +153,27 @@ def _format_alpha(alpha: Fraction) -> str:
     return repr(float(alpha))
 
 
+def _format_p(p: Fraction) -> str:
+    """Three decimals, or, below 0.0005 where those would read 0.000, four
+    significant digits in scientific notation. The scientific form is
+    rounded half to even from the exact rational, since float(p) underflows
+    to 0.0 below about 1e-308."""
+    if not 0 < p < Fraction(1, 2000):
+        return f"{float(p):.3f}"
+    # floor(log10 p) to within one from the bit lengths (30103/100000 ~ log10 2);
+    # the loops settle it
+    e = (p.numerator.bit_length() - p.denominator.bit_length()) * 30103 // 100000
+    while p < Fraction(10) ** e:
+        e -= 1
+    while p >= Fraction(10) ** (e + 1):
+        e += 1
+    mantissa = round(p / Fraction(10) ** (e - 3))
+    if mantissa == 10**4:
+        mantissa, e = 10**3, e + 1
+    digits = str(mantissa)
+    return f"{digits[0]}.{digits[1:]}e{e:+03d}"
+
+
 def _interpretation(summary: TestSummary) -> str:
     urn, p = summary.urn, summary.p_upper
     if summary.digest is not None and summary.digest.weights:
@@ -164,7 +185,7 @@ def _interpretation(summary: TestSummary) -> str:
         f"The maximum probability of drawing {urn.support_count} or more "
         f"observations supporting the working theory from this rival-favoring "
         f"null urn, at draw odds 1{weight_clause}, is "
-        f"p <= {float(p):.3f} (exact {p.num}/{p.den})."
+        f"p <= {_format_p(p)} (exact {p.num}/{p.den})."
     )
 
 

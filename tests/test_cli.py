@@ -202,6 +202,14 @@ class TestSimulateCommand:
             main(["simulate", "--t", "2", "--r", "3", "--n", "2"])
         assert exc.value.code == 2
 
+    def test_urn_above_sampler_guard_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--t", "1000000000", "--r", "1", "--n", "1",
+            "--draws", "1", "--seed", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "below 1000000000" in err
+
 
 class TestMultiCommand:
     def test_halving(self, capsys):

@@ -2,7 +2,8 @@
 
 tests/cli_golden.json holds one record per command: argv (run from the
 repository root), the exit code, stdout and stderr. The weight-grid
-records end each weight's rows at exactly --omega-max.
+records end each weight's rows at exactly --omega-max. The two simulate
+records pin numpy's hypergeometric stream for their seeds.
 """
 
 import json

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from urntest import (
     monte_carlo,
     null_distribution,
 )
+from urntest.oracle import SAMPLER_LIMIT
 
 
 def small_urns(max_total):
@@ -122,3 +124,61 @@ class TestMonteCarlo:
     def test_empty_draw(self):
         freqs = dict(monte_carlo(UrnSpec(2, 3, 0, 0), SimConfig(draws=100, seed=0)))
         assert freqs[0] == 1.0
+
+
+def bernstein_bound(draws, p, delta=1e-9):
+    """Count deviation from draws * p that a correct sampler exceeds with
+    probability at most delta, by Bernstein's inequality."""
+    log_term = math.log(2 / delta)
+    return log_term / 3 + math.sqrt((log_term / 3) ** 2 + 2 * draws * p * (1 - p) * log_term)
+
+
+class TestSamplerAtRealSizes:
+    """numpy simulates the draws one by one for n < 10 or n > total - 10,
+    and uses ratio of uniforms otherwise; every urn here checks one of the
+    two."""
+
+    @pytest.mark.parametrize(
+        "urn, seed",
+        [
+            (UrnSpec(7, 8, 5, 3), 11),  # n < 10
+            (UrnSpec(150, 250, 150, 60), 12),  # 400 items, ratio of uniforms
+            (UrnSpec(0, 40, 25, 0), 13),  # no working items
+            (UrnSpec(150, 250, 399, 149), 14),  # n = total - 1
+        ],
+        ids=["small-n", "400-items", "t=0", "n=total-1"],
+    )
+    def test_matches_null_distribution(self, urn, seed):
+        draws = 200_000
+        exact = dict(null_distribution(urn))
+        freqs = monte_carlo(urn, SimConfig(draws=draws, seed=seed))
+        assert [k for k, _ in freqs] == list(range(urn.sample_size + 1))
+        for k, est in freqs:
+            p = float(exact.get(k, 0))
+            assert abs(round(est * draws) - draws * p) <= bernstein_bound(draws, p), k
+        # the mean pools every cell, so it sees a shift too small for any one cell
+        t, total, n = urn.t_count, urn.total, urn.sample_size
+        mean = n * t / total
+        var = mean * (total - t) * (total - n) / (total * (total - 1))
+        assert abs(math.fsum(k * est for k, est in freqs) - mean) <= 6 * math.sqrt(var / draws)
+
+    def test_memory_bounded_on_400_item_urn(self):
+        import numpy  # noqa: F401  (its import is not the sampler's cost)
+
+        tracemalloc.start()
+        try:
+            monte_carlo(UrnSpec(150, 250, 150, 60), SimConfig(100_000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("t, r", [(SAMPLER_LIMIT, 1), (1, SAMPLER_LIMIT)])
+    def test_size_guard(self, t, r):
+        with pytest.raises(UrnSizeError, match=str(SAMPLER_LIMIT)):
+            monte_carlo(UrnSpec(t, r, 1, 0), SimConfig(draws=1, seed=1))
+
+    def test_largest_counts_below_guard(self):
+        urn = UrnSpec(SAMPLER_LIMIT - 1, SAMPLER_LIMIT - 1, 3, 0)
+        freqs = monte_carlo(urn, SimConfig(draws=1000, seed=5))
+        assert math.fsum(p for _, p in freqs) == pytest.approx(1.0, abs=1e-12)

@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from urntest import (
     DomainError,
     UrnSpec,
+    build_plus_one_urn,
     csv_bytes,
     fixture_path,
     parse_ledger,
@@ -179,6 +181,25 @@ class TestRender:
         summary = summarize_urn(UrnSpec(2, 3, 2, 2), alphas=(Fraction(1, 20),))
         lines = render(summary, "csv").decode().splitlines()
         assert lines[1].startswith("0.05,,,,")
+
+    @pytest.mark.parametrize(
+        "urn", [build_plus_one_urn(2000, 1000), UrnSpec(7, 8, 7, 7)], ids=["4001 items", "1/6435"]
+    )
+    def test_tiny_p_in_scientific_notation(self, urn):
+        summary = summarize_urn(urn, alphas=(Fraction(1, 20),))
+        p = summary.p_upper
+        with mpmath.workdps(30):
+            value = mpmath.mpf(p.num) / p.den
+            exponent = int(mpmath.floor(mpmath.log10(value)))
+            mantissa = mpmath.nstr(value / mpmath.mpf(10) ** exponent, 4)
+        line = render(summary, "text").decode().splitlines()[1]
+        assert f"p <= {mantissa}e{exponent:+03d} (exact {p.num}/{p.den})." in line
+        if urn.total == 4001:
+            assert "p <= 9.352e-376 " in line
+
+    def test_p_above_scientific_cutoff_keeps_three_decimals(self):
+        text = render(summarize_urn(UrnSpec(6, 7, 6, 6), alphas=(Fraction(1, 20),)), "text")
+        assert "p <= 0.001 (exact 1/1716)." in text.decode()
 
 
 class TestEmitPlotData:
