@@ -18,8 +18,17 @@ coefficients c_j = C(t, j) * C(r, n - j) over its support window, built
 once by the term-ratio recursion. A float omega is a dyadic rational
 p / 2**s, so the weight sums are integer Horner sums in which every power
 of the denominator is a bit shift, and every returned float is the
-correctly rounded value of an exact rational. log_tail_view reads the
-same table in floats to steer the odds-ratio solver.
+correctly rounded value of an exact rational.
+
+log_tail_view reads the logarithms of the same table in floats to steer
+the odds-ratio solver; it only steers, and no number it returns is
+reported. The exponents log c_j + j log omega are concave in j, because
+the table is log-concave, so the view bisects for their peak and sums
+only the window of terms within 37.5 + ln(count) nats of it, the
+evaluation outward from the mode used for Fisher's noncentral
+hypergeometric (Liao & Rosen 2001; Fog 2008). The terms left out weigh
+less than e**-37.5, about 5.2e-17, of the sum, below its own rounding, so
+a call costs O(window + log m) rather than O(m) on m support points.
 """
 
 from __future__ import annotations
@@ -48,16 +57,21 @@ def _as_odds(omega) -> Fraction:
 
 def _dyadic(omega) -> tuple[int, int]:
     """(p, s) with omega == p / 2**s; every float odds ratio has this form."""
-    odds = _as_odds(omega)
-    s = odds.denominator.bit_length() - 1
-    if odds.denominator != 1 << s:
+    if isinstance(omega, float) and 0.0 < omega < math.inf:
+        p, q = omega.as_integer_ratio()  # an order of magnitude cheaper than Fraction
+    else:
+        odds = _as_odds(omega)
+        p, q = odds.numerator, odds.denominator
+    s = q.bit_length() - 1
+    if q != 1 << s:
         raise DomainError(f"odds ratio must be a float or a dyadic rational, got {omega!r}")
-    return odds.numerator, s
+    return p, s
 
 
-# A solve or a curve touches one urn at a time, so small caches suffice;
-# each table holds one big integer per support point.
-@lru_cache(maxsize=16)
+# Every caller works on one urn at a time (a solve, a pmf row, one grid row
+# per weight), so two entries suffice; a table holds one big integer per
+# support point, about 1 MB at 4,000 items.
+@lru_cache(maxsize=2)
 def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
     """c_j = C(t, j) C(r, n - j) for j = lo..hi, by the exact term ratio
     c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1))."""
@@ -70,13 +84,13 @@ def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _log_coefficients(t: int, r: int, n: int) -> tuple[float, ...]:
     """The table's natural logarithms, read by log_tail_view."""
     return tuple(math.log(c) for c in _coefficients(t, r, n))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _sums(urn: UrnSpec, p: int, s: int) -> tuple[int, int]:
     """Exact weights of the tail j >= x and of the whole window at odds
     p / 2**s, both scaled by the same power of two.
@@ -122,21 +136,59 @@ def log_tail_view(urn: UrnSpec, log_omega: float) -> tuple[float, float]:
     """Float view of log fnch_tail at omega = exp(log_omega) and its slope
     d log tail / d log omega = E[X | X >= x] - E[X].
 
-    Accurate to roughly the rounding of the table's logarithms; it steers
-    a root search and is never reported.
+    Each of its two sums, over the whole window and over the tail, bisects
+    for the peak of its exponents and adds only the terms within
+    37.5 + ln(count) nats of it (_peak_window), which leaves out less than
+    e**-37.5 of the sum; a call costs O(window + log m) on a table of m
+    coefficients. Accurate to roughly the rounding of the table's
+    logarithms: the view steers a root search, and no value it returns is
+    reported.
     """
     logs = _log_coefficients(urn.t_count, urn.r_count, urn.sample_size)
     k = urn.support_count - urn.support()[0]
-    exponents = [c + i * log_omega for i, c in enumerate(logs)]
-    log_window, mean_window = _log_weight_and_mean(exponents, 0)
-    log_tail, mean_tail = _log_weight_and_mean(exponents, k)
+    log_window, mean_window = _log_weight_and_mean(logs, log_omega, 0)
+    log_tail, mean_tail = _log_weight_and_mean(logs, log_omega, k)
     return log_tail - log_window, mean_tail - mean_window
 
 
-def _log_weight_and_mean(exponents: list[float], start: int) -> tuple[float, float]:
-    """log of sum(exp(e_i)) over i >= start, and the mean of i under those weights."""
-    top = max(exponents[start:])
-    weights = [math.exp(e - top) for e in exponents[start:]]
+def _peak_window(logs: tuple[float, ...], u: float, start: int) -> tuple[int, int, float]:
+    """(lo, hi, top): the terms i >= start whose exponent e_i = logs[i] + i u
+    lies within 37.5 + ln(count) nats of the largest, top, with count the
+    number of terms from start to the end of the table.
+
+    The table is log-concave, so e_i is concave in i: bisecting on the sign
+    of e_(i+1) - e_i finds the peak, and the window is contiguous around
+    it. Each term outside lies below top - 37.5 - ln(count), so together
+    they weigh less than e**-37.5 (about 5.2e-17) of the peak term alone,
+    below the rounding of the window's sum.
+    """
+    end = len(logs) - 1
+    lo, hi = start, end
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if logs[mid + 1] + (mid + 1) * u > logs[mid] + mid * u:
+            lo = mid + 1
+        else:
+            hi = mid
+    top = logs[lo] + lo * u
+    floor = top - (37.5 + math.log(end + 1 - start))
+    while lo > start and logs[lo - 1] + (lo - 1) * u > floor:
+        lo -= 1
+    while hi < end and logs[hi + 1] + (hi + 1) * u > floor:
+        hi += 1
+    return lo, hi, top
+
+
+def _log_weight_and_mean(logs: tuple[float, ...], u: float, start: int) -> tuple[float, float]:
+    """log of sum(exp(e_i)) over i >= start, with e_i = logs[i] + i u, and
+    the mean of i under those weights.
+
+    Both sums run left to right over _peak_window only: the peak found by
+    bisection and the terms within 37.5 + ln(count) nats of it. The terms
+    left out add less than e**-37.5, about 5.2e-17, of the sum.
+    """
+    lo, hi, top = _peak_window(logs, u, start)
+    weights = [math.exp(logs[i] + i * u - top) for i in range(lo, hi + 1)]
     total = sum(weights)
-    mean = start + sum(i * w for i, w in enumerate(weights)) / total
+    mean = lo + sum(i * w for i, w in enumerate(weights)) / total
     return top + math.log(total), mean

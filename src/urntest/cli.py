@@ -184,9 +184,10 @@ def _cmd_multi(args) -> bytes:
                     float(out.summary.p_upper),
                     str(out.reject).lower(),
                     "" if res is None else res.omega_star,
+                    out.summary.p_upper.log10,
                 )
             )
-        return csv_bytes("case,adjusted_alpha,p_upper,reject,omega", rows)
+        return csv_bytes("case,adjusted_alpha,p_upper,reject,omega,p_upper_log10", rows)
     blocks = []
     for out in outcomes:
         verdict = "reject rival" if out.reject else "fail to reject rival"

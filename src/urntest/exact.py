@@ -37,6 +37,14 @@ class ExactProb(Fraction):
     def den(self) -> int:
         return self.denominator
 
+    @property
+    def log10(self) -> float:
+        """log10 of the probability, from the exact ints: finite where
+        float(p) underflows to 0.0, -inf for p = 0."""
+        if not self:
+            return -math.inf
+        return math.log10(self.numerator) - math.log10(self.denominator)
+
     def __repr__(self) -> str:
         return f"ExactProb({self.numerator}, {self.denominator})"
 

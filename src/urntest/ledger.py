@@ -148,6 +148,8 @@ def parse_ledger(document: bytes | str, *, strict: bool = True) -> EvidenceLedge
         raw = json.loads(document, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise LedgerParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+        raise LedgerParseError(f"ledger JSON cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise LedgerValidationError("ledger document must be a JSON object")
     _check_unknown(raw, _TOP_KEYS, "ledger", strict)

@@ -255,6 +255,7 @@ def summary_as_dict(summary: TestSummary) -> dict:
             "num": summary.p_upper.num,
             "den": summary.p_upper.den,
             "float": float(summary.p_upper),
+            "log10": summary.p_upper.log10,
         },
         "alphas": [float(a) for a in summary.alphas],
         "sensitivity": [
@@ -265,14 +266,14 @@ def summary_as_dict(summary: TestSummary) -> dict:
 
 
 def _render_csv(summary: TestSummary) -> str:
-    lines = ["alpha,omega,omega_precise,achieved_p,p_upper,p_upper_num,p_upper_den"]
+    lines = ["alpha,omega,omega_precise,achieved_p,p_upper,p_upper_num,p_upper_den,p_upper_log10"]
     p = summary.p_upper
     for alpha, res in zip(summary.alphas, summary.sensitivity):
         if res is None:
             omega_cells = ",,,"
         else:
             omega_cells = f"{res.omega_star:.2f},{res.omega_star!r},{res.achieved_p!r},"
-        lines.append(f"{_format_alpha(alpha)},{omega_cells}{float(p)!r},{p.num},{p.den}")
+        lines.append(f"{_format_alpha(alpha)},{omega_cells}{float(p)!r},{p.num},{p.den},{p.log10!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from urntest import DomainError, UrnSpec, fnch_pmf, fnch_tail, hyper_pmf, p_upper
+from urntest.biased import _dyadic, _log_coefficients, _peak_window, _sums, log_tail_view
 
 from conftest import rational_tail, urn_specs
 
@@ -76,8 +78,14 @@ class TestFnchTail:
         if urn.support_count <= lo:
             return  # tail is constant 1; nothing to check
         grid = [0.05, 0.3, 1.0, 3.0, 20.0]
+        # the exact tails rise strictly; their correctly rounded floats may
+        # tie where they round to the same double, e.g. 1 - 4.6e-17 and
+        # 1 - 1.4e-27 both read 1.0 on UrnSpec(31, 14, 14, 1)
+        exact = [Fraction(*_sums(urn, *_dyadic(om))) for om in grid]
+        assert all(a < b for a, b in zip(exact, exact[1:]))
         values = [fnch_tail(urn, om) for om in grid]
-        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values == [float(v) for v in exact]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     @settings(max_examples=25)
     @given(urn_specs(max_total=60), st.sampled_from(OMEGA_GRID))
@@ -104,3 +112,67 @@ class TestLogSpacePath:
         total = sum(terms.values())
         for k in (lo, 70, 80, hi):
             assert fnch_pmf(urn, k, 1.5) == float(Fraction(terms[k], total))
+
+
+class TestDyadic:
+    @example(math.ulp(0.0))
+    @example(sys.float_info.min)
+    @example(sys.float_info.max)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True))
+    def test_float_matches_fraction_route(self, omega):
+        odds = Fraction(omega)
+        assert _dyadic(omega) == (odds.numerator, odds.denominator.bit_length() - 1)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 0, -2, Fraction(1, 3), Fraction(-1, 2)]
+    )
+    def test_rejects_non_dyadic_or_non_positive(self, bad):
+        with pytest.raises(DomainError):
+            _dyadic(bad)
+
+    def test_ints_and_dyadic_fractions(self):
+        assert _dyadic(3) == (3, 0)
+        assert _dyadic(Fraction(5, 8)) == (5, 3)
+
+
+def _full_support_view(logs, u, k):
+    """log_tail_view summed over every term of the table, as before the window."""
+    exponents = [c + i * u for i, c in enumerate(logs)]
+
+    def log_weight_and_mean(start):
+        top = max(exponents[start:])
+        weights = [math.exp(e - top) for e in exponents[start:]]
+        total = sum(weights)
+        mean = start + sum(i * w for i, w in enumerate(weights)) / total
+        return top + math.log(total), mean
+
+    log_window, mean_window = log_weight_and_mean(0)
+    log_tail, mean_tail = log_weight_and_mean(k)
+    return (log_tail - log_window, mean_tail - mean_window), exponents
+
+
+class TestLogTailView:
+    @example(UrnSpec(2000, 2001, 2010, 1000), 0.0)  # 1992 terms, x mid-window
+    @example(UrnSpec(2000, 2001, 2010, 30), 0.02)
+    @example(UrnSpec(1800, 2201, 2000, 1790), -3.7)
+    @example(UrnSpec(1800, 2201, 2000, 5), 700.0)
+    @example(UrnSpec(2000, 2001, 3000, 2000), -700.0)
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(urn_specs(max_total=4001), st.floats(-700.0, 700.0))
+    def test_window_matches_full_support(self, urn, log_omega):
+        logs = _log_coefficients(urn.t_count, urn.r_count, urn.sample_size)
+        k = urn.support_count - urn.support()[0]
+        (log_tail, slope), exponents = _full_support_view(logs, log_omega, k)
+        got_log_tail, got_slope = log_tail_view(urn, log_omega)
+        # both sums round to a few ulps of the terms they subtract: the
+        # exponents for the log tail, the indices (up to len(logs)) for the slope
+        scale = max(1.0, *(abs(e) for e in exponents))
+        assert got_log_tail == pytest.approx(log_tail, rel=1e-12, abs=1e-12 * scale)
+        assert got_slope == pytest.approx(slope, rel=1e-12, abs=1e-12 * len(logs))
+        for start in (0, k):
+            lo, hi, top = _peak_window(logs, log_omega, start)
+            peak = max(range(start, len(logs)), key=exponents.__getitem__)
+            assert start <= lo <= peak <= hi < len(logs)
+            floor = top - (37.5 + math.log(len(logs) - start))
+            outside = [exponents[i] for i in range(start, len(logs)) if not lo <= i <= hi]
+            assert all(e <= floor for e in outside)

@@ -1,6 +1,7 @@
 import csv
 import glob
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -31,7 +32,12 @@ class TestTestCommand:
         code, out, _ = run(capsys, "test", ROSSEL, "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["p_upper"] == {"num": 8, "den": 6435, "float": 8 / 6435}
+        assert payload["p_upper"] == {
+            "num": 8,
+            "den": 6435,
+            "float": 8 / 6435,
+            "log10": math.log10(8) - math.log10(6435),
+        }
         assert payload["sensitivity"][0]["omega_star"] == pytest.approx(4.216, abs=0.005)
         assert payload["sensitivity"][1]["omega_star"] == pytest.approx(6.292, abs=0.005)
 
@@ -225,7 +231,7 @@ class TestMultiCommand:
         code, out, _ = run(capsys, "multi", ROSSEL, "--alpha0", "0.05", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "case,adjusted_alpha,p_upper,reject,omega"
+        assert lines[0] == "case,adjusted_alpha,p_upper,reject,omega,p_upper_log10"
         assert ",true," in lines[1]
 
     def test_csv_case_name_quoted(self, capsys, tmp_path):
@@ -277,12 +283,17 @@ class TestHelp:
         ("test", ROSSEL, "--x", "3"),
         (*SENS, "--tol", "0"),
         (*SENS, "--tol", "1"),
+        ("test", "{tmp}/long_integer.json"),
+        ("test", "{tmp}/deep_nesting.json"),
     ],
 )
 def test_bad_input_exit_2(argv, capsys, tmp_path):
+    (tmp_path / "long_integer.json").write_text("7" * 5000)  # past int's string-conversion limit
+    (tmp_path / "deep_nesting.json").write_text("[" * 100_000)  # past the recursion limit
     code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].startswith("urntest: error: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("urntest: error: ")
 
 
 def test_cli_import_leaves_numpy_unloaded():

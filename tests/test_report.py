@@ -165,6 +165,7 @@ class TestRender:
         for row, sens in zip(rows, payload["sensitivity"]):
             assert float(row[2]) == sens["omega_star"]
             assert float(row[4]) == payload["p_upper"]["float"]
+            assert float(row[7]) == payload["p_upper"]["log10"]
         text = render(summary, "text").decode()
         for sens in payload["sensitivity"]:
             assert f"{sens['omega_star']:.3f}" in text
@@ -196,6 +197,18 @@ class TestRender:
         assert f"p <= {mantissa}e{exponent:+03d} (exact {p.num}/{p.den})." in line
         if urn.total == 4001:
             assert "p <= 9.352e-376 " in line
+
+    def test_p_upper_log10_where_float_underflows(self):
+        summary = summarize_urn(build_plus_one_urn(2000, 1000), alphas=(Fraction(1, 20),))
+        p = summary.p_upper
+        with mpmath.workdps(50):
+            expected = float(mpmath.log10(mpmath.mpf(p.num) / p.den))
+        payload = json.loads(render(summary, "json"))["p_upper"]
+        assert payload["float"] == 0.0
+        assert payload["log10"] == pytest.approx(expected, rel=1e-14)
+        header, row = render(summary, "csv").decode().splitlines()
+        assert header.endswith(",p_upper_log10")
+        assert float(row.split(",")[-1]) == payload["log10"]
 
     def test_p_above_scientific_cutoff_keeps_three_decimals(self):
         text = render(summarize_urn(UrnSpec(6, 7, 6, 6), alphas=(Fraction(1, 20),)), "text")

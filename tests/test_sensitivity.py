@@ -15,6 +15,7 @@ from urntest import (
     sweep_curve,
     weight_omega_grid,
 )
+from urntest import sensitivity
 
 from conftest import rational_tail
 
@@ -122,6 +123,22 @@ class TestRelativeTolerance:
         assert urn.total == 4001
         res = solve_omega(urn, 1e-12)
         assert abs(mpmath_tail(urn, res.omega_star) / 1e-12 - 1) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-30])
+    @pytest.mark.parametrize("working,rival", [(500, 100), (1625, 18), (2000, 1000)])
+    def test_view_steers_to_one_exact_evaluation(self, working, rival, alpha, monkeypatch):
+        # the float view alone must bring the solve within tol 1e-9, so the
+        # exact tail runs once, for achieved_p
+        calls = []
+
+        def counted(urn, omega):
+            calls.append(omega)
+            return fnch_tail(urn, omega)
+
+        monkeypatch.setattr(sensitivity, "fnch_tail", counted)
+        res = solve_omega(build_plus_one_urn(working, rival), alpha, tol=1e-9)
+        assert calls == [res.omega_star]
+        assert abs(res.achieved_p / alpha - 1) <= 1e-9
 
 
 class TestClosedFormCheck:
