@@ -24,7 +24,7 @@ from .errors import (
     UrnSizeError,
     UrnTestError,
 )
-from .exact import ExactProb, binomial
+from .exact import ExactProb
 from .ledger import (
     DEFAULT_ALPHAS,
     EvidenceLedger,

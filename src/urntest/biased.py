@@ -13,12 +13,13 @@ than changing the draw-by-draw dynamics, and the two families differ for
 omega != 1. The exact enumeration oracle and the closed-form sensitivity
 check both agree with this family.
 
-Evaluation is exact at every urn size. Each urn has one table of integer
-coefficients c_j = C(t, j) * C(r, n - j) over its support window, built
-once by the term-ratio recursion. A float omega is a dyadic rational
-p / 2**s, so the weight sums are integer Horner sums in which every power
-of the denominator is a bit shift, and every returned float is the
-correctly rounded value of an exact rational.
+Evaluation is exact at every urn size. It reads urn.py's table of integer
+coefficients c_j = C(t, j) * C(r, n - j) over the support window, the
+table the exact central numbers come from, rather than building its own.
+A float omega is a dyadic rational p / 2**s, so the weight sums are
+integer Horner sums in which every power of the denominator is a bit
+shift, and every returned float is the correctly rounded value of an
+exact rational.
 
 log_tail_view reads the logarithms of the same table in floats to steer
 the odds-ratio solver; it only steers, and no number it returns is
@@ -38,8 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .exact import binomial
-from .urn import UrnSpec
+from .urn import UrnSpec, _coefficients
 
 __all__ = ["fnch_pmf", "fnch_tail"]
 
@@ -66,22 +66,6 @@ def _dyadic(omega) -> tuple[int, int]:
     if q != 1 << s:
         raise DomainError(f"odds ratio must be a float or a dyadic rational, got {omega!r}")
     return p, s
-
-
-# Every caller works on one urn at a time (a solve, a pmf row, one grid row
-# per weight), so two entries suffice; a table holds one big integer per
-# support point, about 1 MB at 4,000 items.
-@lru_cache(maxsize=2)
-def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
-    """c_j = C(t, j) C(r, n - j) for j = lo..hi, by the exact term ratio
-    c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1))."""
-    lo, hi = max(0, n - r), min(n, t)
-    c = binomial(t, lo) * binomial(r, n - lo)
-    table = [c]
-    for j in range(lo, hi):
-        c = c * (t - j) * (n - j) // ((j + 1) * (r - n + j + 1))
-        table.append(c)
-    return tuple(table)
 
 
 @lru_cache(maxsize=2)

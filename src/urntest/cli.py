@@ -117,9 +117,8 @@ def _cmd_dist(args) -> bytes:
     if args.format == "csv":
         return csv_bytes("k,probability", rows)
     if args.format == "json":
-        odds = args.odds if args.odds is not None else 1.0
         distribution = [{"k": k, "probability": p} for k, p in rows]
-        return json_bytes({"urn": urn_as_dict(urn), "odds": odds, "distribution": distribution})
+        return json_bytes({"urn": urn_as_dict(urn), "odds": args.odds, "distribution": distribution})
     return "".join(f"P(k = {k}) = {p:.6f}\n" for k, p in rows).encode()
 
 
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="full null distribution over draw counts")
     _add_urn_source(p_dist)
-    p_dist.add_argument("--odds", type=float, default=None, help="bias odds ratio (default: 1)")
+    p_dist.add_argument("--odds", type=float, default=1.0, help="bias odds ratio (default: 1)")
     _add_output(p_dist)
     p_dist.set_defaults(func=_cmd_dist)
 

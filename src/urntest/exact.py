@@ -1,9 +1,10 @@
-"""Exact combinatorics and rational probabilities.
+"""Exact rational probabilities.
 
-Every probability the package reports is derived from arbitrary-precision
-integer binomial coefficients and kept as an exact rational for as long as
-possible. Floats are a derived view, never the source of truth, so headline
-values such as 1/10 or 56/3003 survive bit-for-bit.
+Every probability the package reports is a ratio of arbitrary-precision
+integers, kept as an exact rational for as long as possible. The integers
+come from urn.py's coefficient table; this module defines no binomial
+coefficients of its own. Floats are a derived view, never the source of
+truth, so headline values such as 1/10 or 56/3003 survive bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["ExactProb", "binomial"]
+__all__ = ["ExactProb"]
 
 
 class ExactProb(Fraction):
@@ -47,15 +48,3 @@ class ExactProb(Fraction):
 
     def __repr__(self) -> str:
         return f"ExactProb({self.numerator}, {self.denominator})"
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient, the number of b-item subsets of a items.
-
-    Returns 0 when b > a so probability mass functions can be evaluated
-    uniformly across a clipped support window.
-    """
-    if a < 0 or b < 0:
-        raise DomainError(f"binomial arguments must be nonnegative, got ({a}, {b})")
-    return math.comb(a, b)
-

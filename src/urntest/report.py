@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -21,7 +23,7 @@ from .errors import DomainError
 from .exact import ExactProb
 from .ledger import EvidenceLedger, derive_counts
 from .sensitivity import SensitivityResult, solve_omega, weight_omega_grid
-from .urn import UrnSpec, build_plus_one_urn, null_distribution, p_upper
+from .urn import UrnSpec, build_plus_one_urn, p_upper
 
 __all__ = [
     "CaseDigest",
@@ -277,6 +279,23 @@ def _render_csv(summary: TestSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _ints_of_any_length():
+    """Lift the cap on int-to-str conversion (4,300 digits) while output is
+    formatted: exact p-values pass it from about 14,000 items. The cap is
+    process-wide and guards parse_ledger's input, so it is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_ints_of_any_length()
 def render(summary: TestSummary, format: str = "text") -> bytes:
     """Render one summary as text, json, or csv bytes."""
     if format == "text":
@@ -288,6 +307,7 @@ def render(summary: TestSummary, format: str = "text") -> bytes:
     raise DomainError(f"unknown format {format!r}")
 
 
+@_ints_of_any_length()
 def json_bytes(obj) -> bytes:
     """Indented UTF-8 JSON with a trailing newline."""
     return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -303,11 +323,10 @@ def csv_bytes(header: str, rows) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def pmf_rows(urn: UrnSpec, odds: float | None = None) -> list[tuple[int, float]]:
-    """(k, probability) for every draw count k: the exact null pmf as
-    floats, or the biased pmf at the given odds ratio."""
-    if odds is None:
-        return [(k, float(prob)) for k, prob in null_distribution(urn)]
+def pmf_rows(urn: UrnSpec, odds: float = 1.0) -> list[tuple[int, float]]:
+    """(k, probability) for every draw count k at the given odds ratio.
+    At odds 1 a row is the null pmf c_k / C(t + r, n), correctly rounded,
+    bit for bit float(p) of null_distribution's exact p."""
     return [(k, fnch_pmf(urn, k, odds)) for k in range(urn.sample_size + 1)]
 
 

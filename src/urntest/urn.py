@@ -14,16 +14,21 @@ Evidence weights enlarge the rival side instead of duplicating working
 items: a working-supporting observation of weight w contributes w - 1
 extra rival items, which keeps the number of draws equal to the number of
 observations actually made.
+
+Every exact number here reads one table per urn, owned by this module:
+c_j = C(t, j) * C(r, n - j) over the support window, whose sum is
+C(t + r, n) by Vandermonde's identity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidUrnError, NoWorkingEvidenceError
-from .exact import ExactProb, binomial
+from .exact import ExactProb
 
 __all__ = [
     "UrnSpec",
@@ -123,13 +128,29 @@ def build_plus_one_urn(
     )
 
 
+# Every caller works on one urn at a time (a solve, a pmf row, one grid row
+# per weight), so two entries suffice; a table holds one big integer per
+# support point, about 1 MB at 4,000 items.
+@lru_cache(maxsize=2)
+def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
+    """c_j = C(t, j) C(r, n - j) for j = lo..hi, by the exact term ratio
+    c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1))."""
+    lo, hi = max(0, n - r), min(n, t)
+    c = math.comb(t, lo) * math.comb(r, n - lo)
+    table = [c]
+    for j in range(lo, hi):
+        c = c * (t - j) * (n - j) // ((j + 1) * (r - n + j + 1))
+        table.append(c)
+    return tuple(table)
+
+
 def hyper_pmf(urn: UrnSpec, k: int) -> ExactProb:
     """Exact probability of drawing exactly k working-supporting items."""
-    t, r, n = urn.t_count, urn.r_count, urn.sample_size
     lo, hi = urn.support()
     if k < lo or k > hi:
         return ExactProb(0)
-    return ExactProb(binomial(t, k) * binomial(r, n - k), binomial(t + r, n))
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    return ExactProb(table[k - lo], sum(table))
 
 
 def p_upper(urn: UrnSpec) -> ExactProb:
@@ -139,17 +160,17 @@ def p_upper(urn: UrnSpec) -> ExactProb:
     observed count equals the top of the support window the tail reduces to
     the single point mass, which covers every worked desk-scale case.
     """
-    t, r, n, x = urn.t_count, urn.r_count, urn.sample_size, urn.support_count
-    _, hi = urn.support()
-    num = sum(binomial(t, k) * binomial(r, n - k) for k in range(x, hi + 1))
-    return ExactProb(num, binomial(t + r, n))
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    return ExactProb(sum(table[urn.support_count - urn.support()[0] :]), sum(table))
 
 
 def null_distribution(urn: UrnSpec) -> list[tuple[int, ExactProb]]:
     """Full null distribution over k = 0..sample_size, summing exactly to 1."""
-    t, r, n = urn.t_count, urn.r_count, urn.sample_size
-    den = binomial(t + r, n)
-    return [(k, ExactProb(binomial(t, k) * binomial(r, n - k), den)) for k in range(n + 1)]
+    lo, hi = urn.support()
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    den, zero = sum(table), ExactProb(0)
+    probs = [zero] * lo + [ExactProb(c, den) for c in table] + [zero] * (urn.sample_size - hi)
+    return list(enumerate(probs))
 
 
 def tail_at_margin(working_obs: int, sample_size: int, x: int, c: int) -> ExactProb:

@@ -31,6 +31,22 @@ def rational_tail(urn, omega):
     return sum(v for j, v in terms.items() if j >= urn.support_count) / total
 
 
+def comb_pmf_row(urn):
+    """Exact null pmf for k = 0..n, straight from math.comb: the k-th term
+    over C(t + r, n)."""
+    t, r, n = urn.t_count, urn.r_count, urn.sample_size
+    den = math.comb(t + r, n)
+    return [Fraction(math.comb(t, k) * math.comb(r, n - k), den) for k in range(n + 1)]
+
+
+def comb_tail(urn):
+    """Exact null tail P(X >= x), straight from math.comb: the terms from x
+    up over C(t + r, n)."""
+    t, r, n = urn.t_count, urn.r_count, urn.sample_size
+    num = sum(math.comb(t, k) * math.comb(r, n - k) for k in range(urn.support_count, n + 1))
+    return Fraction(num, math.comb(t + r, n))
+
+
 def _closed_form_omega(p: float) -> float:
     """Closed-form omega for the urn with 2 working and 3 rival items and
     3 draws, observed support 2.

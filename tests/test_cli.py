@@ -3,6 +3,7 @@ import glob
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from urntest import fixture_path
+from urntest import UrnSpec, fixture_path, p_upper
 from urntest.cli import main
 
 ROSSEL = str(fixture_path("rossel2023"))
@@ -97,6 +98,32 @@ class TestTestCommand:
         code, _, err = run(capsys, "test", "no-such-file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_exact_ints_past_the_digit_limit(self, capsys, fmt):
+        # p_upper = 1 / C(14401, 7200), whose denominator has 4,334 digits
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(
+            capsys, "test", "--t", "7200", "--r", "7201", "--n", "7200", "--alpha", "0.05",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "text":
+                num, den = re.search(r"\(exact (\d+)/(\d+)\)", out).groups()
+            elif fmt == "json":
+                exact = json.loads(out)["p_upper"]
+                num, den = exact["num"], exact["den"]
+            else:
+                row = next(csv.DictReader(out.splitlines()))
+                num, den = row["p_upper_num"], row["p_upper_den"]
+            p = p_upper(UrnSpec(7200, 7201, 7200, 7200))
+            assert (int(num), int(den)) == (p.num, p.den)
+            assert len(str(p.den)) > 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(capsys, "test", ROSSEL, "--format", "json", "--out", str(target))
@@ -133,6 +160,11 @@ class TestDistCommand:
         code, out, _ = run(capsys, "dist", "--t", "2", "--r", "3", "--n", "2")
         assert code == 0
         assert "P(k = 2) = 0.100000" in out
+
+    def test_large_urn_csv(self, capsys):
+        code, out, _ = run(capsys, "dist", "--t", "2000", "--r", "2001", "--n", "3000", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 3002
 
 
 class TestSensCommand:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from urntest import DomainError, ExactProb, binomial
+from urntest import DomainError, ExactProb
+from urntest.urn import _coefficients
+
+from conftest import urn_specs
 
 
 def factorial_ratio(a: int, b: int) -> int:
@@ -15,40 +18,14 @@ def factorial_ratio(a: int, b: int) -> int:
 
 
 class TestBinomial:
-    def test_worked_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(8, 4) == 70
-        assert binomial(7, 0) == 1
+    """The binomial products c_j = C(t, j) C(r, n - j) in urn.py's table."""
 
-    def test_against_factorial_oracle(self):
-        assert factorial_ratio(15, 10) == 3003
-        assert binomial(15, 10) == 3003
-
-    def test_b_greater_than_a_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(0, 1) == 0
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-        with pytest.raises(DomainError):
-            binomial(5, -2)
-
-    @given(st.integers(1, 200), st.integers(1, 200))
-    def test_pascal_identity(self, a, b):
-        if b > a:
-            a, b = b, a
-        assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
-
-    @given(st.integers(0, 200), st.integers(0, 200))
-    def test_symmetry(self, a, b):
-        if b > a:
-            a, b = b, a
-        assert binomial(a, b) == binomial(a, a - b)
-
-    @given(st.integers(0, 300), st.integers(0, 300))
-    def test_matches_factorial_oracle(self, a, b):
-        assert binomial(a, b) == factorial_ratio(a, b)
+    @given(urn_specs(max_total=300))
+    def test_matches_factorial_oracle(self, urn):
+        t, r, n = urn.t_count, urn.r_count, urn.sample_size
+        lo, hi = urn.support()
+        expected = tuple(factorial_ratio(t, j) * factorial_ratio(r, n - j) for j in range(lo, hi + 1))
+        assert _coefficients(t, r, n) == expected
 
 
 class TestExactProb:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
 
 from urntest import (
     DomainError,
@@ -10,6 +11,7 @@ from urntest import (
     build_plus_one_urn,
     csv_bytes,
     fixture_path,
+    null_distribution,
     parse_ledger,
     pmf_rows,
     render,
@@ -19,6 +21,8 @@ from urntest import (
     sweep_curve,
     weight_grid_rows,
 )
+
+from conftest import urn_specs
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +227,18 @@ class TestEmitPlotData:
         assert len(lines) == 12
         rounded = [round(float(line.split(",")[1]), 2) for line in lines[1:]]
         assert rounded == [0, 0, 0.01, 0.09, 0.33, 0.39, 0.16, 0.02, 0, 0, 0]
+
+    @settings(deadline=None)
+    @given(urn_specs(max_total=200))
+    @example(build_plus_one_urn(2000, 1000))
+    @example(UrnSpec(2000, 2001, 3000, 2000))
+    def test_null_rows_are_the_exact_pmf_as_floats(self, urn):
+        exact = [(k, float(p)) for k, p in null_distribution(urn)]
+        assert repr(pmf_rows(urn)) == repr(exact)
+
+    def test_far_rows_underflow_to_zero(self):
+        rows = pmf_rows(UrnSpec(2000, 2001, 3000, 2000))  # P(k = 2000) is about 9.35e-376
+        assert rows[2000] == (2000, 0.0)
 
     def test_omega_curve_reference_points(self):
         urn = UrnSpec(7, 8, 10, 7)

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from urntest import (
     InvalidUrnError,
@@ -15,7 +15,7 @@ from urntest import (
     tail_at_margin,
 )
 
-from conftest import urn_specs
+from conftest import comb_pmf_row, comb_tail, urn_specs
 
 
 def ordered_draw_distribution(t, r, n):
@@ -152,6 +152,20 @@ class TestNullDistribution:
                 assert p == 0
             else:
                 assert p > 0
+
+
+class TestAgainstMathComb:
+    """Every exact number read from the coefficient table equals the
+    independent math.comb reference, to the last digit."""
+
+    @settings(deadline=None)
+    @given(urn_specs(max_total=200))
+    @example(build_plus_one_urn(2000, 1000))
+    def test_exact_numbers(self, urn):
+        row = comb_pmf_row(urn)
+        assert p_upper(urn) == comb_tail(urn)
+        assert [hyper_pmf(urn, k) for k in range(-1, urn.sample_size + 2)] == [0, *row, 0]
+        assert null_distribution(urn) == list(enumerate(row))
 
 
 class TestTailAtMargin:
