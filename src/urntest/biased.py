@@ -167,12 +167,15 @@ def _log_weight_and_mean(logs: tuple[float, ...], u: float, start: int) -> tuple
     """log of sum(exp(e_i)) over i >= start, with e_i = logs[i] + i u, and
     the mean of i under those weights.
 
-    Both sums run left to right over _peak_window only: the peak found by
-    bisection and the terms within 37.5 + ln(count) nats of it. The terms
-    left out add less than e**-37.5, about 5.2e-17, of the sum.
+    One loop sums the weight and the first moment left to right over
+    _peak_window only: the peak found by bisection and the terms within
+    37.5 + ln(count) nats of it. The terms left out add less than
+    e**-37.5, about 5.2e-17, of the sum.
     """
     lo, hi, top = _peak_window(logs, u, start)
-    weights = [math.exp(logs[i] + i * u - top) for i in range(lo, hi + 1)]
-    total = sum(weights)
-    mean = lo + sum(i * w for i, w in enumerate(weights)) / total
-    return top + math.log(total), mean
+    total = moment = 0.0
+    for i in range(lo, hi + 1):
+        w = math.exp(logs[i] + i * u - top)
+        total += w
+        moment += (i - lo) * w
+    return top + math.log(total), lo + moment / total

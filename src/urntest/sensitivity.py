@@ -7,11 +7,25 @@ alpha. Reporting omega* tells a reader how much easier working-supporting
 evidence would have to be to observe before the test stops rejecting the
 rival at that threshold.
 
-The solver runs Newton's method on u = log omega for log tail(u) =
-log alpha, starting at omega = 1. The slope d log tail / du is
-E[X | X >= x] - E[X], so the float view of the urn's coefficient table
-gives value and slope in one pass. A bracket of points known to lie on
-either side of the root catches any step that leaves it. Convergence is
+The solver runs Newton's method on u = log omega, starting at omega = 1.
+The slope d log tail / du is E[X | X >= x] - E[X], so the float view of
+the urn's coefficient table gives value and slope in one pass. Which
+equation the steps solve depends on where omega = 1 lies:
+
+- When the tail at omega = 1 is already below alpha and alpha < 1/2 (a +1
+  urn that rejects, the common case), Newton solves psi(u) = log(-log
+  alpha) - log(-log tail(u)) = 0, whose slope is the view's slope over
+  -log tail. Log tail is strongly concave in this far field, where Newton
+  on it crawls, but psi is close to linear and convex: the first step
+  lands just above the root and every later step falls towards it.
+- Otherwise (a root below omega = 1, or alpha >= 1/2) Newton solves
+  log tail(u) = log alpha. Log tail is concave, so the steps approach the
+  root from below.
+
+A bracket of points known to lie on either side of the root catches any
+step that leaves it. A step that fails to bring the view closer to the
+root from its side of approach, or one that does not move u, has hit the
+view's rounding, and the exact tail is evaluated there. Convergence is
 judged on the exact tail, relative to alpha, so tiny thresholds and large
 urns are solved to the same relative tolerance. Should the tolerance be
 finer than the view's rounding, the exact tail's value steers the last
@@ -48,9 +62,12 @@ class SensitivityResult:
     """Solved bias odds ratio for one rejection threshold.
 
     iterations counts solver steps. bracket is the solver's safeguard
-    interval on omega at the end: its ends are the closest evaluated odds
-    ratios below and above the root, or the float range's limits on a
-    side no evaluation reached.
+    interval on omega at the end: its ends are the closest odds ratios
+    evaluated below and above the root (by the float view, or by the exact
+    tail once it steers), or the float range's limits on a side no
+    evaluation reached. When the urn rejects at omega = 1 and alpha < 1/2
+    the steps come from above, so the upper end is usually a
+    view-evaluated point just above the root.
     """
 
     alpha: float
@@ -98,12 +115,16 @@ def solve_omega(
 
     log_alpha = math.log(alpha)
     lo, hi = -math.inf, math.inf  # log omega known to lie below / above the root
-    u, g_prev, achieved = 0.0, math.inf, None
+    u, achieved = 0.0, None
     for iterations in range(1, max_iter + 1):
         log_p, slope = log_tail_view(urn, u)
         if achieved is not None:  # past the view's resolution, the exact tail at u steers
             log_p = math.log(achieved) if achieved else -math.inf
         g = log_p - log_alpha
+        if iterations == 1:
+            from_above = g < 0.0 and alpha < 0.5
+            approach = 1.0 if from_above else -1.0  # the side of the root the steps come from
+            g_prev = -approach * math.inf
         if g < 0.0:
             lo = u
         else:
@@ -113,17 +134,34 @@ def solve_omega(
             raise UnreachableThresholdError(
                 f"tail probability stays {side} alpha={alpha} for all positive float odds ratios"
             )
-        step = u - g / slope if slope > 0.0 else math.nan
-        if step == u and achieved is not None:
-            break  # omega cannot move on the float grid
-        if not lo < step < hi:
+        if not from_above:
+            step = u - g / slope if slope > 0.0 else math.nan
+        elif slope > 0.0 and log_p < 0.0:
+            # psi = log(-log alpha) - log(-log tail) = -log1p(g / log alpha), slope / -log tail
+            step = u + math.log1p(g / log_alpha) * -log_p / slope
+        else:
+            step = math.nan
+        newton = lo < step < hi
+        if step == u:
+            if achieved is not None:
+                break  # omega cannot move on the float grid
+        elif not newton:
             step = (lo + hi) / 2.0
         step = _clip(step)
-        # log tail is concave in u, so once an iterate lies below the root the
-        # Newton steps approach it from below and g rises at every step. A step
-        # that fails to raise g, or crosses the root, has hit the view's rounding.
-        if achieved is None and abs(g) > tol and (g_prev >= 0.0 or g_prev < g < 0.0):
-            u, g_prev = step, g
+        # Log tail is concave in u, so Newton on it approaches the root from
+        # below; psi is close to linear and convex where the tail is small, so
+        # Newton on it lands just above the root and then falls towards it. A
+        # Newton step on the approach side that fails to bring g closer to 0,
+        # or crosses the root, has hit the view's rounding, and so has a step
+        # that does not move u: the exact tail takes over there. A bisection
+        # says nothing of the rounding, so the view is trusted after one.
+        if (
+            achieved is None
+            and step != u
+            and abs(g) > tol
+            and (approach * g_prev <= 0.0 or 0.0 < approach * g < approach * g_prev)
+        ):
+            u, g_prev = step, g if newton else -approach * math.inf
             continue
         first_exact = achieved is None
         u = step
@@ -151,7 +189,7 @@ def _clip(log_omega: float) -> float:
 
 
 def omega_grid(omega_min: float, omega_max: float, steps: int, scale: str = "log") -> list[float]:
-    """steps evenly spaced odds ratios from omega_min to exactly omega_max.
+    """steps evenly spaced odds ratios from exactly omega_min to exactly omega_max.
 
     scale selects log (even ratios) or linear (even differences) spacing.
     """
@@ -163,13 +201,14 @@ def omega_grid(omega_min: float, omega_max: float, steps: int, scale: str = "log
         raise DomainError(f"steps must be at least 2, got {steps}")
     if scale not in ("log", "linear"):
         raise DomainError(f"scale must be 'log' or 'linear', got {scale!r}")
-    if scale == "log":
-        ratio = (omega_max / omega_min) ** (1.0 / (steps - 1))
-        grid = [omega_min * ratio**i for i in range(steps)]
+    if scale == "log":  # in logs, as omega_max / omega_min may overflow
+        start = math.log(omega_min)
+        step = (math.log(omega_max) - start) / (steps - 1)
+        grid = [math.exp(start + step * i) for i in range(steps)]
     else:
         step = (omega_max - omega_min) / (steps - 1)
         grid = [omega_min + step * i for i in range(steps)]
-    grid[-1] = omega_max
+    grid[0], grid[-1] = omega_min, omega_max
     return grid
 
 

@@ -144,13 +144,20 @@ def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=2)
+def _coefficient_sum(t: int, r: int, n: int) -> int:
+    """sum(_coefficients(t, r, n)) = C(t + r, n), every exact number's
+    denominator, summed once per urn."""
+    return sum(_coefficients(t, r, n))
+
+
 def hyper_pmf(urn: UrnSpec, k: int) -> ExactProb:
     """Exact probability of drawing exactly k working-supporting items."""
     lo, hi = urn.support()
     if k < lo or k > hi:
         return ExactProb(0)
     table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
-    return ExactProb(table[k - lo], sum(table))
+    return ExactProb(table[k - lo], _coefficient_sum(urn.t_count, urn.r_count, urn.sample_size))
 
 
 def p_upper(urn: UrnSpec) -> ExactProb:
@@ -161,14 +168,15 @@ def p_upper(urn: UrnSpec) -> ExactProb:
     the single point mass, which covers every worked desk-scale case.
     """
     table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
-    return ExactProb(sum(table[urn.support_count - urn.support()[0] :]), sum(table))
+    den = _coefficient_sum(urn.t_count, urn.r_count, urn.sample_size)
+    return ExactProb(sum(table[urn.support_count - urn.support()[0] :]), den)
 
 
 def null_distribution(urn: UrnSpec) -> list[tuple[int, ExactProb]]:
     """Full null distribution over k = 0..sample_size, summing exactly to 1."""
     lo, hi = urn.support()
     table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
-    den, zero = sum(table), ExactProb(0)
+    den, zero = _coefficient_sum(urn.t_count, urn.r_count, urn.sample_size), ExactProb(0)
     probs = [zero] * lo + [ExactProb(c, den) for c in table] + [zero] * (urn.sample_size - hi)
     return list(enumerate(probs))
 

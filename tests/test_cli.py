@@ -222,6 +222,18 @@ class TestSweepCommand:
         assert lines[0] == "weight,omega,p"
         assert len(lines) == 1 + 2 * 3
 
+    def test_log_grid_across_the_float_range(self, capsys):
+        # omega_max / omega_min overflows here; the grid is built in logs
+        code, out, _ = run(
+            capsys, *SWEEP, "--x", "7", "--omega-min", "1e-300", "--omega-max", "1e300",
+            "--steps", "5",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 5
+        assert float(rows[0][0]) == 1e-300 and float(rows[-1][0]) == 1e300
+        assert [float(p) for _, p in rows] == sorted(float(p) for _, p in rows)
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, capsys):

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from collections import Counter
 
 import mpmath
 import pytest
@@ -7,6 +10,7 @@ from urntest import (
     DegenerateUrnError,
     DomainError,
     SolverError,
+    UnreachableThresholdError,
     UrnSpec,
     build_plus_one_urn,
     fnch_tail,
@@ -139,6 +143,63 @@ class TestRelativeTolerance:
         res = solve_omega(build_plus_one_urn(working, rival), alpha, tol=1e-9)
         assert calls == [res.omega_star]
         assert abs(res.achieved_p / alpha - 1) <= 1e-9
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of float-view calls and exact tails made by solve_omega."""
+    counts = Counter()
+    log_tail_view = sensitivity.log_tail_view
+
+    def view(urn, log_omega):
+        counts["view"] += 1
+        return log_tail_view(urn, log_omega)
+
+    def exact(urn, omega):
+        counts["exact"] += 1
+        return fnch_tail(urn, omega)
+
+    monkeypatch.setattr(sensitivity, "log_tail_view", view)
+    monkeypatch.setattr(sensitivity, "fnch_tail", exact)
+    return counts
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("fraction", [0, 0.1, 0.25, 0.5])
+    def test_plus_one_urns(self, fraction, evaluations):
+        # the +1 urn rejects at omega = 1, so Newton on log(-log tail) lands
+        # just above the root and falls to it in a few view steps
+        for working in (50, 75, 100, 150, 200, 300, 500, 750, 1000, 1500, 2000):
+            urn = build_plus_one_urn(working, math.floor(working * fraction))
+            for alpha in (0.1, 0.05, 0.003125):
+                evaluations.clear()
+                res = solve_omega(urn, alpha)
+                assert abs(res.achieved_p / alpha - 1) <= 1e-9
+                assert evaluations["view"] <= 6, (urn, alpha, evaluations)
+                assert evaluations["exact"] == 1, (urn, alpha, evaluations)
+
+    def test_general_urns_meet_tol(self):
+        rng = random.Random(20231)
+        for _ in range(40):
+            t, r = rng.randint(0, 300), rng.randint(1, 300)
+            n = rng.randint(0, t + r)
+            lo, hi = max(0, n - r), min(n, t)
+            urn = UrnSpec(t, r, n, rng.randint(lo, hi))
+            # at the smallest float, tails at omega -> 0 can stay above alpha
+            for alpha in (math.ulp(0.0), 1e-300, 1e-6, 0.05, 0.5, 0.9, 0.999999):
+                for tol in (1e-3, 1e-9, 1e-13):
+                    try:
+                        res = solve_omega(urn, alpha, tol=tol)
+                    except DegenerateUrnError:
+                        assert hi == lo or urn.support_count == lo
+                        continue
+                    except UnreachableThresholdError:
+                        low = fnch_tail(urn, math.ulp(0.0))
+                        high = fnch_tail(urn, sys.float_info.max)
+                        assert not low <= alpha <= high, (urn, alpha)
+                        continue
+                    assert abs(res.achieved_p / alpha - 1) <= tol, (urn, alpha, tol)
+                    assert fnch_tail(urn, res.omega_star) == res.achieved_p
 
 
 class TestClosedFormCheck:

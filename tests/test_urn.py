@@ -15,6 +15,8 @@ from urntest import (
     tail_at_margin,
 )
 
+from urntest import urn as urn_module
+
 from conftest import comb_pmf_row, comb_tail, urn_specs
 
 
@@ -98,6 +100,16 @@ class TestHyperPmf:
         assert hyper_pmf(urn, 9) == 0
         assert hyper_pmf(urn, 1) == 0
         assert hyper_pmf(urn, -1) == 0
+
+    @pytest.mark.parametrize("urn", [UrnSpec(7, 8, 10, 7), build_plus_one_urn(2000, 1000)])
+    def test_every_k_matches_null_distribution(self, urn):
+        # the table's sum is computed once for the urn, not once per k
+        urn_module._coefficient_sum.cache_clear()
+        rows = [(k, hyper_pmf(urn, k)) for k in range(urn.sample_size + 1)]
+        assert urn_module._coefficient_sum.cache_info().misses == 1
+        assert [(k, p.num, p.den) for k, p in rows] == [
+            (k, p.num, p.den) for k, p in null_distribution(urn)
+        ]
 
 
 class TestPUpper:
