@@ -17,9 +17,13 @@ Evaluation is exact at every urn size. It reads urn.py's table of integer
 coefficients c_j = C(t, j) * C(r, n - j) over the support window, the
 table the exact central numbers come from, rather than building its own.
 A float omega is a dyadic rational p / 2**s, so the weight sums are
-integer Horner sums in which every power of the denominator is a bit
-shift, and every returned float is the correctly rounded value of an
-exact rational.
+integer sums in which every power of the denominator is a bit shift, and
+every returned float is the correctly rounded value of an exact rational.
+The sums are split in halves recursively (binary splitting, Haible &
+Papanikolaou 1998), so their large products pair numbers of equal size and
+run at Karatsuba speed: on m support points with terms of about b bits a
+sum costs O(M(m b) log m), with M(n) the cost of an n-bit product, where
+one Horner pass down the table cost O(m**2 b).
 
 log_tail_view reads the logarithms of the same table in floats to steer
 the odds-ratio solver; it only steers, and no number it returns is
@@ -74,35 +78,84 @@ def _log_coefficients(t: int, r: int, n: int) -> tuple[float, ...]:
     return tuple(math.log(c) for c in _coefficients(t, r, n))
 
 
+# Up to this many terms plain Horner sums as fast as a split does; splitting
+# pays once the halves' products are long enough for Karatsuba multiplication.
+_LEAF = 64
+
+
 @lru_cache(maxsize=2)
 def _sums(urn: UrnSpec, p: int, s: int) -> tuple[int, int]:
     """Exact weights of the tail j >= x and of the whole window at odds
     p / 2**s, both scaled by the same power of two.
 
-    The Horner sum A_i = A_(i+1) p + c_i 2**(s (m - 1 - i)) runs down the
-    table of m coefficients; the window's weight is A_0 and the tail's is
-    p**k A_k, with k the offset of x in the window.
+    With S(a, b) = sum of c_i p**(i - a) 2**(s (b - 1 - i)) for a <= i < b
+    over the table of m coefficients, and k the offset of x in the window,
+    the tail's weight is p**k S(k, m) and the window's is
+    S(0, k) 2**(s (m - k)) plus the tail's: the integers one Horner pass
+    down the table gives. Each S is split at its midpoint,
+    S(a, c) = S(a, b) 2**(s (c - b)) + p**(b - a) S(b, c), down to leaves of
+    at most _LEAF terms summed by Horner, with each power p**h computed once
+    per call; a window that short takes one Horner pass for both. A call
+    costs O(M(m b) log m) for b bits per term and M(n) the cost of an n-bit
+    product, rather than the O(m**2 b) of one Horner pass.
     """
     table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
     k = urn.support_count - urn.support()[0]
-    top = len(table) - 1
+    m = len(table)
+    if m <= _LEAF:  # one pass gives both, without the split's calls
+        total, tail = _horner(table, 0, m, p, s, k)
+        return tail * p**k, total
+    powers = {}
+    tail = p**k * _split(table, k, m, p, s, powers)
+    return tail, (_split(table, 0, k, p, s, powers) << (s * (m - k))) + tail
+
+
+def _horner(table: tuple[int, ...], a: int, b: int, p: int, s: int, k: int) -> tuple[int, int]:
+    """(S(a, b), S(k, b)) of _sums by one Horner pass down the terms; the
+    second is 0 when k lies outside a..b-1."""
+    top = b - 1
     acc = tail = 0
-    for i in range(top, -1, -1):
+    for i in range(top, a - 1, -1):
         acc = acc * p + (table[i] << (s * (top - i)))
         if i == k:
             tail = acc
-    return tail * p**k, acc
+    return acc, tail
+
+
+def _split(table: tuple[int, ...], a: int, b: int, p: int, s: int, powers: dict[int, int]) -> int:
+    """S(a, b) of _sums: Horner on at most _LEAF terms, else the sum of its
+    two halves, with p**h cached in powers.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep the table and the powers
+    alive until the cyclic garbage collector ran.
+    """
+    if b - a <= _LEAF:
+        return _horner(table, a, b, p, s, -1)[0]
+    mid = (a + b) // 2
+    h = mid - a
+    if h not in powers:
+        powers[h] = p**h
+    left = _split(table, a, mid, p, s, powers)
+    return (left << (s * (b - mid))) + powers[h] * _split(table, mid, b, p, s, powers)
+
+
+def _pmf_ratio(urn: UrnSpec, k: int, omega) -> tuple[int, int]:
+    """Exact numerator and denominator of fnch_pmf; (0, 1) outside the
+    support window."""
+    p, s = _dyadic(omega)
+    lo, hi = urn.support()
+    if k < lo or k > hi:
+        return 0, 1
+    _, total = _sums(urn, p, s)
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    return table[k - lo] * p ** (k - lo) << (s * (hi - k)), total
 
 
 def fnch_pmf(urn: UrnSpec, k: int, omega) -> float:
     """Probability of drawing exactly k working-supporting items at bias omega."""
-    p, s = _dyadic(omega)
-    lo, hi = urn.support()
-    if k < lo or k > hi:
-        return 0.0
-    _, total = _sums(urn, p, s)
-    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
-    return (table[k - lo] * p ** (k - lo) << (s * (hi - k))) / total
+    num, den = _pmf_ratio(urn, k, omega)
+    return num / den
 
 
 def fnch_tail(urn: UrnSpec, omega) -> float:

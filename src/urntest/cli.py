@@ -115,11 +115,11 @@ def _cmd_dist(args) -> bytes:
     urn = _urn_source(args)
     rows = pmf_rows(urn, args.odds)
     if args.format == "csv":
-        return csv_bytes("k,probability", rows)
+        return csv_bytes("k,probability,log10", rows)
     if args.format == "json":
-        distribution = [{"k": k, "probability": p} for k, p in rows]
+        distribution = [{"k": k, "probability": p, "log10": log10} for k, p, log10 in rows]
         return json_bytes({"urn": urn_as_dict(urn), "odds": args.odds, "distribution": distribution})
-    return "".join(f"P(k = {k}) = {p:.6f}\n" for k, p in rows).encode()
+    return "".join(f"P(k = {k}) = {p:.6f}\n" for k, p, _ in rows).encode()
 
 
 def _cmd_sens(args) -> bytes:

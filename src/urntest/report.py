@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .biased import fnch_pmf
+from .biased import _pmf_ratio
 from .errors import DomainError
 from .exact import ExactProb
 from .ledger import EvidenceLedger, derive_counts
@@ -315,19 +316,31 @@ def json_bytes(obj) -> bytes:
 
 def csv_bytes(header: str, rows) -> bytes:
     """A header line, then one line per row: text cells as CSV fields with
-    minimal quoting, every other cell written by repr."""
+    minimal quoting, None as an empty cell, every other cell written by repr."""
     buffer = io.StringIO()
     buffer.write(header + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows([cell if isinstance(cell, str) else repr(cell) for cell in row] for row in rows)
+    writer.writerows(
+        [cell if cell is None or isinstance(cell, str) else repr(cell) for cell in row] for row in rows
+    )
     return buffer.getvalue().encode("utf-8")
 
 
-def pmf_rows(urn: UrnSpec, odds: float = 1.0) -> list[tuple[int, float]]:
-    """(k, probability) for every draw count k at the given odds ratio.
-    At odds 1 a row is the null pmf c_k / C(t + r, n), correctly rounded,
-    bit for bit float(p) of null_distribution's exact p."""
-    return [(k, fnch_pmf(urn, k, odds)) for k in range(urn.sample_size + 1)]
+def pmf_rows(urn: UrnSpec, odds: float = 1.0) -> list[tuple[int, float, float | None]]:
+    """(k, probability, log10) for every draw count k at the given odds ratio.
+
+    Both numbers come from the row's exact integers. The probability is
+    fnch_pmf, correctly rounded; at odds 1 it is the null pmf
+    c_k / C(t + r, n), bit for bit float(p) of null_distribution's exact p.
+    The log10 is taken from the integers as ExactProb.log10 takes it, so it
+    stays finite where the probability underflows to 0.0; it is None for a
+    row outside the support window, whose probability is 0.
+    """
+    rows = []
+    for k in range(urn.sample_size + 1):
+        num, den = _pmf_ratio(urn, k, odds)
+        rows.append((k, num / den, math.log10(num) - math.log10(den) if num else None))
+    return rows
 
 
 def weight_grid_rows(

@@ -29,7 +29,11 @@ view's rounding, and the exact tail is evaluated there. Convergence is
 judged on the exact tail, relative to alpha, so tiny thresholds and large
 urns are solved to the same relative tolerance. Should the tolerance be
 finer than the view's rounding, the exact tail's value steers the last
-steps.
+steps. The steps move on the floats u, so when |u| > 1 the odds ratios
+they reach, exp(u), are about |u| times sparser than the floats; should
+tol be finer than the tail's step between neighbouring ones, a step
+returns to an odds ratio already evaluated exactly, and the solve stops
+there.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ def solve_omega(
     Converges when the exact tail at omega*, achieved_p, satisfies
     |achieved_p / alpha - 1| <= tol. Raises UnreachableThresholdError when
     the root lies outside the range of positive floats, and SolverError
-    when tol is not met within max_iter steps or omega can no longer move
-    on the float grid.
+    when tol is not met within max_iter steps or is finer than the tail's
+    step between neighbouring odds ratios on the solver's grid, exp(u) for
+    float u, at the root.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -116,6 +121,10 @@ def solve_omega(
     log_alpha = math.log(alpha)
     lo, hi = -math.inf, math.inf  # log omega known to lie below / above the root
     u, achieved = 0.0, None
+    # The omegas whose exact tail was evaluated. A step that returns to one
+    # has stalled on the grid the steps move on, exp(u) for float u, at a
+    # tail already known to miss tol.
+    evaluated: set[float] = set()
     for iterations in range(1, max_iter + 1):
         log_p, slope = log_tail_view(urn, u)
         if achieved is not None:  # past the view's resolution, the exact tail at u steers
@@ -142,10 +151,7 @@ def solve_omega(
         else:
             step = math.nan
         newton = lo < step < hi
-        if step == u:
-            if achieved is not None:
-                break  # omega cannot move on the float grid
-        elif not newton:
+        if step != u and not newton:
             step = (lo + hi) / 2.0
         step = _clip(step)
         # Log tail is concave in u, so Newton on it approaches the root from
@@ -164,13 +170,20 @@ def solve_omega(
             u, g_prev = step, g if newton else -approach * math.inf
             continue
         first_exact = achieved is None
-        u = step
-        achieved = fnch_tail(urn, math.exp(u))
+        u, omega = step, math.exp(step)
+        if omega in evaluated:
+            raise SolverError(
+                f"tol={tol} is finer than the tail's step between neighbouring odds "
+                f"ratios on the solver's grid, omega = exp(u) for float u: the steps "
+                f"returned to omega {omega!r} without meeting alpha={alpha}"
+            )
+        evaluated.add(omega)
+        achieved = fnch_tail(urn, omega)
         if abs(achieved / alpha - 1.0) <= tol:
             lo, hi = (u, hi) if achieved < alpha else (lo, u)
             return SensitivityResult(
                 alpha=alpha,
-                omega_star=math.exp(u),
+                omega_star=omega,
                 achieved_p=achieved,
                 iterations=iterations,
                 bracket=(math.exp(_clip(lo)), math.exp(_clip(hi))),

@@ -134,12 +134,14 @@ def build_plus_one_urn(
 @lru_cache(maxsize=2)
 def _coefficients(t: int, r: int, n: int) -> tuple[int, ...]:
     """c_j = C(t, j) C(r, n - j) for j = lo..hi, by the exact term ratio
-    c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1))."""
+    c_(j+1) / c_j = (t - j)(n - j) / ((j + 1)(r - n + j + 1)); each factor
+    pair is multiplied out as a small int first, so a step makes one pass
+    over c rather than two."""
     lo, hi = max(0, n - r), min(n, t)
     c = math.comb(t, lo) * math.comb(r, n - lo)
     table = [c]
     for j in range(lo, hi):
-        c = c * (t - j) * (n - j) // ((j + 1) * (r - n + j + 1))
+        c = c * ((t - j) * (n - j)) // ((j + 1) * (r - n + j + 1))
         table.append(c)
     return tuple(table)
 

@@ -3,10 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from urntest import DomainError, UrnSpec, fnch_pmf, fnch_tail, hyper_pmf, p_upper
 from urntest.biased import _dyadic, _log_coefficients, _peak_window, _sums, log_tail_view
+from urntest.urn import _coefficients
 
 from conftest import rational_tail, urn_specs
 
@@ -112,6 +113,80 @@ class TestLogSpacePath:
         total = sum(terms.values())
         for k in (lo, 70, 80, hi):
             assert fnch_pmf(urn, k, 1.5) == float(Fraction(terms[k], total))
+
+
+def _horner_sums(urn, p, s):
+    """The one-pass Horner sum _sums replaced, kept as the reference:
+    A_i = A_(i+1) p + c_i 2**(s (m - 1 - i)) down the table, tail p**k A_k."""
+    table = _coefficients(urn.t_count, urn.r_count, urn.sample_size)
+    k = urn.support_count - urn.support()[0]
+    top = len(table) - 1
+    acc = tail = 0
+    for i in range(top, -1, -1):
+        acc = acc * p + (table[i] << (s * (top - i)))
+        if i == k:
+            tail = acc
+    return tail * p**k, acc
+
+
+def _comb_weights(urn, omega):
+    """The exact weights C(t, j) C(r, n - j) omega**(j - lo) of the window,
+    from math.comb, as numerators over their common denominator
+    den(omega)**(m - 1) = 2**(s (m - 1)), the factor _sums scales by:
+    summing them as Fractions reduces every partial sum, which took 90 s
+    for one 420-term window at omega = 5e-324."""
+    om = Fraction(omega)
+    s = om.denominator.bit_length() - 1  # den(omega) = 2**s: a product by its power is a shift
+    assert om.denominator == 1 << s
+    lo, hi = urn.support()
+    weights, power = [], 1
+    for j in range(lo, hi + 1):  # power = numerator(omega)**(j - lo)
+        comb = math.comb(urn.t_count, j) * math.comb(urn.r_count, urn.sample_size - j)
+        weights.append(comb * power << (s * (hi - j)))
+        power *= om.numerator
+    return weights
+
+
+@st.composite
+def windowed_urns(draw):
+    """Urns whose support window holds 1, 63-65, 127-129 or 300+ terms, on
+    either side of the 64-term leaves and their first split, with the
+    observed count at the bottom, middle or top of the window."""
+    m = draw(st.sampled_from([1, 63, 64, 65, 127, 128, 129]) | st.integers(300, 360))
+    lo, slack = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+    hi = lo + m - 1
+    t, n = (hi, hi + slack) if draw(st.booleans()) else (hi + slack, hi)
+    r = n - lo if lo else n + 1 + draw(st.integers(0, 20))
+    assume(r >= 1)
+    urn = UrnSpec(t, r, n, lo + draw(st.sampled_from([0, (m - 1) // 2, m - 1])))
+    assert urn.support() == (lo, hi)
+    return urn
+
+
+ODDS_EDGES = (math.ulp(0.0), 1e-300, 1.0, 3.0, 1e300)
+
+
+class TestSums:
+    @example(UrnSpec(359, 360, 359, 0), math.ulp(0.0))
+    @example(UrnSpec(359, 360, 359, 359), 1e300)
+    @example(UrnSpec(127, 128, 127, 64), 3.0)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        windowed_urns(),
+        st.sampled_from(ODDS_EDGES)
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+    )
+    def test_binary_split_is_exact(self, urn, omega):
+        p, s = _dyadic(omega)
+        tail, total = _sums(urn, p, s)
+        weights = _comb_weights(urn, omega)
+        lo, hi = urn.support()
+        assert tail == sum(weights[urn.support_count - lo :])
+        assert total == sum(weights)
+        ref_tail, ref_total = _horner_sums(urn, p, s)
+        assert fnch_tail(urn, omega) == ref_tail / ref_total
+        for k in {lo, (lo + hi) // 2, urn.support_count, hi}:
+            assert fnch_pmf(urn, k, omega) == weights[k - lo] / ref_total
 
 
 class TestDyadic:

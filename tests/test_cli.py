@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from urntest import UrnSpec, fixture_path, p_upper
+from urntest import UrnSpec, fixture_path, hyper_pmf, p_upper
 from urntest.cli import main
 
 ROSSEL = str(fixture_path("rossel2023"))
@@ -137,7 +137,7 @@ class TestDistCommand:
         code, out, _ = run(capsys, "dist", SNOW, "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "k,probability"
+        assert lines[0] == "k,probability,log10"
         assert len(lines) == 12
         assert float(lines[8].split(",")[1]) == pytest.approx(56 / 3003, rel=1e-12)
 
@@ -160,6 +160,32 @@ class TestDistCommand:
         code, out, _ = run(capsys, "dist", "--t", "2", "--r", "3", "--n", "2")
         assert code == 0
         assert "P(k = 2) = 0.100000" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_carry_log10_where_the_float_underflows(self, fmt, capsys):
+        urn = UrnSpec(800, 801, 800, 800)
+        code, out, _ = run(capsys, "dist", "--t", "800", "--r", "801", "--n", "800", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            rows = [row[1:] for row in csv.reader(out.splitlines()[1:])]
+        else:
+            rows = [[r["probability"], r["log10"]] for r in json.loads(out)["distribution"]]
+        assert len(rows) == 801
+        underflowed = 0
+        scale = math.log10(math.comb(1601, 800))  # the size of the logs each log10 subtracts
+        for k, (prob, log10) in enumerate(rows):
+            exact = hyper_pmf(urn, k)
+            assert float(prob) == float(exact)
+            assert float(log10) == pytest.approx(exact.log10, rel=0, abs=1e-14 * scale)
+            underflowed += float(prob) == 0.0
+        assert underflowed == 98  # the far tails, below 1e-308
+
+    def test_rows_outside_the_support_have_no_log10(self, capsys):
+        code, out, _ = run(capsys, "dist", "--t", "2", "--r", "5", "--n", "4", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["3,0.0,", "4,0.0,"]
+        code, out, _ = run(capsys, "dist", "--t", "2", "--r", "5", "--n", "4", "--format", "json")
+        assert [r["log10"] for r in json.loads(out)["distribution"]][-2:] == [None, None]
 
     def test_large_urn_csv(self, capsys):
         code, out, _ = run(capsys, "dist", "--t", "2000", "--r", "2001", "--n", "3000", "--format", "csv")
@@ -192,6 +218,14 @@ class TestSensCommand:
         )
         assert code == 3
         assert "infeasible" in err
+
+    def test_tol_finer_than_the_float_grid_exit_3(self, capsys):
+        code, _, err = run(
+            capsys, "sens", "--t", "342", "--r", "432", "--n", "252", "--x", "108",
+            "--alpha", "1e-300", "--tol", "1e-13",
+        )
+        assert code == 3
+        assert "finer than the tail's step between neighbouring odds ratios on the solver's grid" in err
 
     def test_bad_alpha_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from urntest import (
     build_plus_one_urn,
     csv_bytes,
     fixture_path,
+    hyper_pmf,
     null_distribution,
     parse_ledger,
     pmf_rows,
@@ -233,12 +235,24 @@ class TestEmitPlotData:
     @example(build_plus_one_urn(2000, 1000))
     @example(UrnSpec(2000, 2001, 3000, 2000))
     def test_null_rows_are_the_exact_pmf_as_floats(self, urn):
+        rows = pmf_rows(urn)
         exact = [(k, float(p)) for k, p in null_distribution(urn)]
-        assert repr(pmf_rows(urn)) == repr(exact)
+        assert repr([(k, prob) for k, prob, _ in rows]) == repr(exact)
+        # each log10 is a difference of two logs of up to log10 C(t + r, n),
+        # and the row's integers are not reduced to lowest terms as p's are,
+        # so the two may round apart by a few ulps of that size
+        scale = max(1.0, math.log10(math.comb(urn.total, urn.sample_size)))
+        for (_, _, log10), (_, p) in zip(rows, null_distribution(urn)):
+            if p:
+                assert log10 == pytest.approx(p.log10, rel=0, abs=1e-14 * scale)
+            else:
+                assert log10 is None
 
     def test_far_rows_underflow_to_zero(self):
-        rows = pmf_rows(UrnSpec(2000, 2001, 3000, 2000))  # P(k = 2000) is about 9.35e-376
-        assert rows[2000] == (2000, 0.0)
+        urn = UrnSpec(2000, 2001, 3000, 2000)
+        rows = pmf_rows(urn)  # P(k = 2000) is about 9.35e-376
+        assert rows[2000][:2] == (2000, 0.0)
+        assert rows[2000][2] == pytest.approx(hyper_pmf(urn, 2000).log10, rel=1e-14)
 
     def test_omega_curve_reference_points(self):
         urn = UrnSpec(7, 8, 10, 7)

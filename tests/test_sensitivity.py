@@ -178,6 +178,17 @@ class TestEvaluationCounts:
                 assert evaluations["view"] <= 6, (urn, alpha, evaluations)
                 assert evaluations["exact"] == 1, (urn, alpha, evaluations)
 
+    @pytest.mark.parametrize(
+        "spec", [(342, 432, 252, 108), (848, 1667, 1519, 547), (1607, 1651, 1819, 588)]
+    )
+    def test_tol_finer_than_the_float_grid_stops_early(self, spec, evaluations):
+        # the exact tails at neighbouring odds ratios on the solver's grid,
+        # exp(u) for float u, straddle alpha by more than tol; the iterate
+        # used to hop between the two for all 200 steps
+        with pytest.raises(SolverError, match="finer than the tail's step"):
+            solve_omega(UrnSpec(*spec), 1e-300, tol=1e-13)
+        assert 1 <= evaluations["exact"] <= 10, evaluations
+
     def test_general_urns_meet_tol(self):
         rng = random.Random(20231)
         for _ in range(40):
